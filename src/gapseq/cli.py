@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from . import oeis, tables
+from ._intdigits import unlimited_int_digits
 from .combinatorics import (
     check_fc_identity,
     check_raney_identity,
@@ -25,7 +26,14 @@ from .combinatorics import (
     gap_product_closed,
     raney,
 )
-from .gaps import gap, gap_product, gap_sum, gap_sum_abs, gap_sum_signed
+from .gaps import (
+    gap_between,
+    gap_product_between,
+    gap_sequence,
+    gap_sum_abs_between,
+    gap_sum_between,
+    gap_sum_signed_between,
+)
 from .genfun import (
     Poly,
     RatFunc,
@@ -51,7 +59,6 @@ from .sequences import (
     Primes,
     SeqSpec,
     SpecError,
-    term,
     terms,
 )
 
@@ -228,7 +235,7 @@ def _cmd_terms(ns: argparse.Namespace) -> int:
 
 def _cmd_gaps(ns: argparse.Namespace) -> int:
     spec = parse_spec(ns.spec)
-    gaps = [(n, gap(spec, n)) for n in range(ns.count)]
+    gaps = list(enumerate(gap_sequence(gap_between, spec, ns.count)))
     if ns.format == "json":
         print(
             json.dumps(
@@ -256,16 +263,19 @@ def _cmd_gaps(ns: argparse.Namespace) -> int:
 
 def _cmd_gapsum(ns: argparse.Namespace) -> int:
     spec = parse_spec(ns.spec)
-    func = gap_sum_signed if ns.signed else gap_sum_abs if ns.abs else gap_sum
+    func = (
+        gap_sum_signed_between if ns.signed else gap_sum_abs_between if ns.abs
+        else gap_sum_between
+    )
     kind = "signed" if ns.signed else "abs" if ns.abs else "clamped"
-    values = [func(spec, n) for n in range(ns.count)]
+    values = gap_sequence(func, spec, ns.count)
     _emit_indexed(ns, {"command": "gapsum", "spec": ns.spec, "kind": kind}, values)
     return 0
 
 
 def _cmd_gapprod(ns: argparse.Namespace) -> int:
     spec = parse_spec(ns.spec)
-    values = [gap_product(spec, n) for n in range(ns.count)]
+    values = gap_sequence(gap_product_between, spec, ns.count)
     _emit_indexed(ns, {"command": "gapprod", "spec": ns.spec}, values)
     return 0
 
@@ -382,10 +392,11 @@ def _cmd_table(ns: argparse.Namespace) -> int:
     return 0
 
 
-_KIND_FUNCS: dict[str, Callable[[SeqSpec, int], int]] = {
-    "terms": term,
-    "gapsum": gap_sum,
-    "gapprod": gap_product,
+# check-oeis kinds: the statistic of each consecutive pair, or None for the terms.
+_KIND_FUNCS: dict[str, Optional[Callable[[int, int], int]]] = {
+    "terms": None,
+    "gapsum": gap_sum_between,
+    "gapprod": gap_product_between,
 }
 
 
@@ -396,11 +407,10 @@ def _cmd_check_oeis(ns: argparse.Namespace) -> int:
     else:
         bfile = oeis.fetch_bfile(ns.id)
     count = ns.count if ns.count is not None else len(bfile.entries) + ns.max_shift
-    if isinstance(spec, Explicit):
-        available = len(spec.terms) if ns.kind == "terms" else len(spec.terms) - 1
-        count = min(count, available)
     func = _KIND_FUNCS[ns.kind]
-    values = [func(spec, n) for n in range(count)]
+    if isinstance(spec, Explicit):
+        count = min(count, len(spec.terms) - (func is not None))
+    values = terms(spec, 0, count) if func is None else gap_sequence(func, spec, count)
     report = oeis.cross_check(values, bfile, ns.max_shift)
     if ns.format == "json":
         payload = {
@@ -536,14 +546,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        return ns.func(ns)
-    except oeis.FetchError as exc:
-        print(f"gapseq: error: {exc}", file=sys.stderr)
-        return 1
-    except oeis.BFileError as exc:
-        print(f"gapseq: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        # A subcommand's int/str conversions are its rendering (all three
+        # formats) and its parsing of input; both must be exact at any size.
+        with unlimited_int_digits():
+            return ns.func(ns)
+    except (oeis.FetchError, oeis.BFileError, OSError) as exc:
         print(f"gapseq: error: {exc}", file=sys.stderr)
         return 1
     except (SpecParseError, SpecError, ValueError, IndexError) as exc:

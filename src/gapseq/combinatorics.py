@@ -4,20 +4,16 @@ closed-form gap products of arithmetic progressions a_n = k*n + r."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+
+from .gaps import product_range
 
 
 def binom(n: int, k: int) -> int:
-    """C(n, k) by the multiplicative formula; 0 outside 0 <= k <= n."""
+    """C(n, k); 0 outside 0 <= k <= n, and a ValueError for n < 0."""
     if n < 0:
         raise ValueError(f"upper index must be >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0
-    k = min(k, n - k)
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)  # exact at every step
-    return out
+    return comb(n, k) if k >= 0 else 0
 
 
 def fuss_catalan(p: int, m: int) -> int:
@@ -57,10 +53,7 @@ def gap_product_closed(k: int, r: int, n: int) -> int:
     if r < 1:
         raise ValueError(f"intercept r must be >= 1, got {r}")
     base = k * n + r
-    out = 1
-    for j in range(1, k):
-        out *= base + j
-    return out
+    return product_range(base + 1, base + k)
 
 
 def check_fc_identity(k: int, n: int) -> bool:

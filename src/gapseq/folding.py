@@ -35,6 +35,13 @@ def a088748(n: int) -> int:
     return _walk[n]
 
 
+def walk(n0: int, count: int) -> list[int]:
+    """a088748(n0) .. a088748(n0+count-1): the cached walk grown once, then sliced."""
+    if count > 0:
+        a088748(n0 + count - 1)
+    return _walk[n0 : n0 + count]
+
+
 def descent_marker(spec: SeqSpec, n: int) -> int:
     """2*a_n - 1 where the sequence steps down by exactly 1, else 0."""
     a, b = term(spec, n), term(spec, n + 1)

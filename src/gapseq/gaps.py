@@ -4,14 +4,18 @@ The n-th gap is the run of consecutive integers strictly between a_n and
 a_(n+1). Three sum variants exist: ``gap_sum`` clamps to 0 on empty gaps,
 ``gap_sum_signed`` evaluates the closed form without clamping (negative at
 descents), and ``gap_sum_abs`` sums a_n + j over j = 1 .. |a_(n+1)-a_n-1|.
+``gap_sequence`` computes any of them for n = 0 .. count-1 in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Callable, TypeVar
 
-from .sequences import SeqSpec, term
+from .sequences import SeqSpec, term, terms
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -30,35 +34,67 @@ class Gap:
         return range(self.start, self.start + self.length)
 
 
-def gap(spec: SeqSpec, n: int) -> Gap:
-    """The n-th gap of the sequence described by spec."""
-    a, b = term(spec, n), term(spec, n + 1)
+# Each statistic is one pure function of a consecutive pair (a, b) =
+# (a_n, a_(n+1)). The per-n functions below and ``gap_sequence`` both
+# apply these, so the arithmetic exists once.
+
+
+def gap_between(a: int, b: int) -> Gap:
+    """The integers strictly between a and b."""
     return Gap(start=a + 1, length=max(b - a - 1, 0))
 
 
-def gap_sum(spec: SeqSpec, n: int) -> int:
-    """Sum of the n-th gap's elements; 0 when the gap is empty."""
-    a, b = term(spec, n), term(spec, n + 1)
+def gap_sum_between(a: int, b: int) -> int:
+    """Sum of the integers strictly between a and b; 0 when there are none."""
     if b <= a + 1:
         return 0
     return (b - a - 1) * (a + b) // 2
 
 
-def gap_sum_signed(spec: SeqSpec, n: int) -> int:
-    """(a_(n+1) - a_n - 1)(a_n + a_(n+1)) / 2 without clamping.
+def gap_sum_signed_between(a: int, b: int) -> int:
+    """(b - a - 1)(a + b) / 2 without clamping, so negative when b < a.
 
-    Negative at descents. The product equals b^2 - a^2 - a - b, which is
-    always even, so the halving is exact.
+    The product equals b^2 - a^2 - a - b, which is always even, so the
+    halving is exact.
     """
-    a, b = term(spec, n), term(spec, n + 1)
     return (b - a - 1) * (a + b) // 2
+
+
+def gap_sum_abs_between(a: int, b: int) -> int:
+    """Sum of a + j for j = 1 .. |b - a - 1|."""
+    width = abs(b - a - 1)
+    return width * a + width * (width + 1) // 2
+
+
+def gap_product_between(a: int, b: int) -> int:
+    """Product of the integers strictly between a and b; 1 when there are none."""
+    return product_range(a + 1, b)
+
+
+def gap_sequence(stat: Callable[[int, int], T], spec: SeqSpec, count: int) -> list[T]:
+    """stat(a_n, a_(n+1)) for n = 0 .. count-1, from one pass over the terms."""
+    values = terms(spec, 0, count + 1)
+    return list(map(stat, values, values[1:]))
+
+
+def gap(spec: SeqSpec, n: int) -> Gap:
+    """The n-th gap of the sequence described by spec."""
+    return gap_between(term(spec, n), term(spec, n + 1))
+
+
+def gap_sum(spec: SeqSpec, n: int) -> int:
+    """Sum of the n-th gap's elements; 0 when the gap is empty."""
+    return gap_sum_between(term(spec, n), term(spec, n + 1))
+
+
+def gap_sum_signed(spec: SeqSpec, n: int) -> int:
+    """(a_(n+1) - a_n - 1)(a_n + a_(n+1)) / 2 without clamping; negative at descents."""
+    return gap_sum_signed_between(term(spec, n), term(spec, n + 1))
 
 
 def gap_sum_abs(spec: SeqSpec, n: int) -> int:
     """Sum of a_n + j for j = 1 .. |a_(n+1) - a_n - 1|."""
-    a, b = term(spec, n), term(spec, n + 1)
-    width = abs(b - a - 1)
-    return width * a + width * (width + 1) // 2
+    return gap_sum_abs_between(term(spec, n), term(spec, n + 1))
 
 
 def gap_product(spec: SeqSpec, n: int) -> int:
@@ -68,8 +104,7 @@ def gap_product(spec: SeqSpec, n: int) -> int:
     rather than forming the factorial ratio (a_(n+1)-1)!/a_n!, so it
     stays cheap when the terms themselves are huge.
     """
-    g = gap(spec, n)
-    return product_range(g.start, g.start + g.length)
+    return gap_product_between(term(spec, n), term(spec, n + 1))
 
 
 def product_range(lo: int, hi: int) -> int:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from ._intdigits import unlimited_int_digits
+
 A_NUMBER = re.compile(r"\AA\d{6}\Z")
 _BFILE_URL = "https://oeis.org/{seq_id}/b{digits}.txt"
 _HTTP_TIMEOUT = 30.0
@@ -73,28 +75,34 @@ class CheckReport:
 def parse_bfile(text: Union[str, bytes], seq_id: str = "") -> BFile:
     """Parse b-file text; ``#`` comments and blank lines are skipped.
 
-    Raises BFileError with the offending line number for malformed lines
-    and for index sequences that jump or repeat.
+    Raises BFileError for bytes that are not UTF-8, and with the
+    offending line number for malformed lines and for index sequences
+    that jump or repeat. Values of any length parse exactly.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    entries: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise BFileError(f"line {lineno}: expected '<index> <value>', got {raw!r}")
         try:
-            index, value = int(fields[0]), int(fields[1])
-        except ValueError as exc:
-            raise BFileError(f"line {lineno}: non-integer field in {raw!r}") from exc
-        if entries and index != entries[-1][0] + 1:
-            raise BFileError(
-                f"line {lineno}: index {index} is not contiguous after {entries[-1][0]}"
-            )
-        entries.append((index, value))
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = text.count(b"\n", 0, exc.start) + 1
+            raise BFileError(f"line {lineno}: byte {text[exc.start]:#04x} is not UTF-8") from None
+    entries: list[tuple[int, int]] = []
+    with unlimited_int_digits():
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            if len(fields) != 2:
+                raise BFileError(f"line {lineno}: expected '<index> <value>', got {raw!r}")
+            try:
+                index, value = int(fields[0]), int(fields[1])
+            except ValueError as exc:
+                raise BFileError(f"line {lineno}: non-integer field in {raw!r}") from exc
+            if entries and index != entries[-1][0] + 1:
+                raise BFileError(
+                    f"line {lineno}: index {index} is not contiguous after {entries[-1][0]}"
+                )
+            entries.append((index, value))
     return BFile(seq_id=seq_id, entries=tuple(entries))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress
 from math import comb, isqrt
 from typing import Union
 
@@ -121,10 +122,7 @@ class Horadam:
 
     def seeds_at_shift(self) -> tuple[int, int]:
         """Seed pair of the shift-0 sequence identical to this one."""
-        a, b = self.alpha, self.beta
-        for _ in range(self.shift):
-            a, b = b, self.r * b + self.s * a
-        return a, b
+        return _horadam_pair(self, self.shift)
 
 
 @dataclass(frozen=True)
@@ -173,7 +171,7 @@ def term(spec: SeqSpec, n: int) -> int:
         case Binomial(shift=shift, lower=lower):
             return comb(n + shift, lower)
         case Horadam():
-            return _horadam_run(spec, n, 1)[0]
+            return _horadam_pair(spec, n + spec.shift)[0]
         case Primes():
             return nth_prime(n)
         case Fold():
@@ -182,33 +180,96 @@ def term(spec: SeqSpec, n: int) -> int:
             return a088748(n)
         case Explicit(terms=values):
             if n >= len(values):
-                raise IndexError(
-                    f"explicit sequence has {len(values)} terms, index {n} is out of range"
-                )
+                raise _explicit_range_error(values, n)
             return values[n]
     raise TypeError(f"not a sequence spec: {spec!r}")
 
 
 def terms(spec: SeqSpec, n0: int, count: int) -> list[int]:
-    """Terms a_n0 .. a_(n0+count-1); linear total work for Horadam and primes."""
+    """Terms a_n0 .. a_(n0+count-1) in one pass, never one ``term`` call per index.
+
+    Horadam jumps to n0 in O(log n0) multiplications and then steps the
+    recurrence; polynomials step by integer forward differences; primes
+    and the folding walk grow their cache once and slice it.
+    """
     if n0 < 0:
         raise IndexError(f"sequence index must be >= 0, got {n0}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if isinstance(spec, Horadam):
-        return _horadam_run(spec, n0, count)
-    return [term(spec, n0 + i) for i in range(count)]
+    if count == 0:
+        return []
+    end = n0 + count
+    match spec:
+        case Linear(k=k, r=r):
+            return [k * n + r for n in range(n0, end)]
+        case Geometric(k=k, offset=offset):
+            out, power = [], k**n0
+            for _ in range(count):
+                out.append(power + offset)
+                power *= k
+            return out
+        case Polynomial():
+            return _polynomial_run(spec, n0, count)
+        case Binomial(shift=shift, lower=lower):
+            return [comb(m, lower) for m in range(n0 + shift, end + shift)]
+        case Horadam(r=r, s=s):
+            a, b = _horadam_pair(spec, n0 + spec.shift)
+            out = [a]
+            for _ in range(count - 1):
+                a, b = b, r * b + s * a
+                out.append(a)
+            return out
+        case Primes():
+            nth_prime(end - 1)
+            return _primes[n0:end]
+        case Fold():
+            from .folding import walk  # local import: folding depends on this module
+
+            return walk(n0, count)
+        case Explicit(terms=values):
+            if end > len(values):
+                raise _explicit_range_error(values, max(n0, len(values)))
+            return list(values[n0:end])
+    raise TypeError(f"not a sequence spec: {spec!r}")
 
 
-def _horadam_run(spec: Horadam, n0: int, count: int) -> list[int]:
-    start = n0 + spec.shift
-    a, b = spec.alpha, spec.beta
-    out: list[int] = []
-    for i in range(start + count):
-        if i >= start:
-            out.append(a)
-        a, b = b, spec.r * b + spec.s * a
-    return out
+def _explicit_range_error(values: tuple[int, ...], n: int) -> IndexError:
+    return IndexError(f"explicit sequence has {len(values)} terms, index {n} is out of range")
+
+
+def _horadam_pair(spec: Horadam, m: int) -> tuple[int, int]:
+    """(h(m), h(m+1)), ignoring spec.shift, in O(log m) multiplications.
+
+    The powers of [[r, s], [1, 0]] map the column (h(j+1), h(j)) to
+    (h(j+k+1), h(j+k)); square-and-multiply applies M**m to (beta, alpha).
+    """
+    hi, lo = spec.beta, spec.alpha
+    p, q, u, v = spec.r, spec.s, 1, 0  # M**(2**i), row-major
+    while m:
+        if m & 1:
+            hi, lo = p * hi + q * lo, u * hi + v * lo
+        m >>= 1
+        if m:
+            qu, trace = q * u, p + v
+            p, q, u, v = p * p + qu, trace * q, trace * u, qu + v * v
+    return lo, hi
+
+
+def _polynomial_run(spec: Polynomial, n0: int, count: int) -> list[int]:
+    """Terms of a polynomial from deg + 1 exact start values, then integer
+    forward differences: each level is the running sum of the level below."""
+    degree = max(len(spec.coeffs) - 1, 0)
+    while degree and spec.coeffs[degree] == 0:
+        degree -= 1
+    width = max(count, degree + 1)
+    row = [term(spec, n0 + i) for i in range(degree + 1)]
+    for j in range(1, degree + 1):  # row[j] becomes the j-th difference at n0
+        for i in range(degree, j - 1, -1):
+            row[i] -= row[i - 1]
+    level = [row[degree]] * (width - degree)
+    for j in range(degree - 1, -1, -1):
+        level = list(accumulate(level, initial=row[j]))
+    return level[:count]
 
 
 _PRIME_LOCK = threading.Lock()
@@ -239,5 +300,5 @@ def _grow_sieve() -> None:
         for p in range(2, isqrt(limit - 1) + 1):
             if flags[p]:
                 flags[p * p :: p] = b"\x00" * len(range(p * p, limit, p))
-        _primes = [i for i in range(limit) if flags[i]]
+        _primes = list(compress(range(limit), flags))
         _prime_limit = limit

@@ -17,7 +17,7 @@ from math import factorial
 from typing import Callable, Optional, Union
 
 from .combinatorics import as_integer, gap_product_closed, raney
-from .gaps import gap_product, gap_sum, gap_sum_signed
+from .gaps import gap_product, gap_sequence, gap_sum_between, gap_sum_signed_between
 from .genfun import Poly, RatFunc, horadam_gap_sum_gf, horadam_gf, ratfunc_to_text
 from .sequences import Binomial, Horadam, Linear, Polynomial, SeqSpec
 
@@ -219,7 +219,7 @@ def figurate_table(count: int = 8) -> RefTable:
     rows = []
     corrections = []
     for row in FIGURATE_ROWS:
-        sums = [gap_sum(row.spec, n) for n in range(count)]
+        sums = gap_sequence(gap_sum_between, row.spec, count)
         rows.append((row.label, row.sum_label, " ".join(str(v) for v in sums)))
         if row.published_sum_formula is not None:
             n_bad = next(
@@ -329,7 +329,7 @@ def horadam_table(count: int = 8) -> RefTable:
     corrections = [HALF_FACTOR_NOTE]
     for spec, label, published_gf, published_terms in PUBLISHED_HORADAM_ROWS:
         built = horadam_gap_sum_gf(spec)
-        sums = [gap_sum_signed(spec, n) for n in range(count)]
+        sums = gap_sequence(gap_sum_signed_between, spec, count)
         rows.append(
             (
                 label,

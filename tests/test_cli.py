@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -358,6 +360,19 @@ class TestCheckOeis:
         )
         assert rc == 2
 
+    def test_non_utf8_bfile_is_a_bfile_error(self, tmp_path, capsys):
+        path = tmp_path / "b000040.txt"
+        path.write_bytes(b"# caf\xe9 (one Latin-1 byte)\n1 2\n2 3\n3 5\n4 7\n")
+        rc = run(
+            ["check-oeis", "--spec", "primes", "--kind", "terms", "--id", "A000040",
+             "--bfile", str(path)]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("gapseq: error: line 1:")
+        assert "spec grammar" not in captured.err
+
     def test_max_shift_zero_rejects_offset(self, capsys):
         tail_spec = "explicit:4,13,42,119"
         rc = run(
@@ -370,6 +385,75 @@ class TestCheckOeis:
              "--bfile", str(FIXTURES / "b109454.txt"), "--max-shift", "4"]
         )
         assert rc == 0
+
+
+def _without_digit_limit(func, *args):
+    """func(*args) with Python's int/str digit limit lifted (3.11+)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return func(*args)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return func(*args)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestOutputBeyond4300Digits:
+    """Results longer than Python's default int/str limit print in full."""
+
+    GEOM2_PRODUCTS = [gap_product(Geometric(2), n) for n in range(12)]
+
+    def _run(self, capsys, argv):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        out = run_ok(capsys, argv)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        return out
+
+    def test_gapprod_text(self, capsys):
+        out = self._run(capsys, ["gapprod", "--spec", "geom:2", "--count", "12"])
+        assert _without_digit_limit(lambda: [int(v) for v in out.split()]) == (
+            self.GEOM2_PRODUCTS
+        )
+        assert len(out.split()[-1]) > 4300
+
+    def test_gapprod_csv(self, capsys):
+        out = self._run(
+            capsys, ["gapprod", "--spec", "geom:2", "--count", "12", "--format", "csv"]
+        )
+        lines = out.splitlines()
+        assert lines[0] == "n,value"
+        rows = _without_digit_limit(
+            lambda: [tuple(int(f) for f in line.split(",")) for line in lines[1:]]
+        )
+        assert rows == list(enumerate(self.GEOM2_PRODUCTS))
+
+    def test_gapprod_json(self, capsys):
+        out = self._run(
+            capsys, ["gapprod", "--spec", "geom:2", "--count", "12", "--format", "json"]
+        )
+        assert _without_digit_limit(json.loads, out)["values"] == self.GEOM2_PRODUCTS
+
+    def test_fc_text_and_json(self, capsys):
+        want = math.comb(40000, 20000) // 20001
+        out = self._run(capsys, ["fc", "--p", "1", "--m", "20000"])
+        assert _without_digit_limit(int, out) == want
+        out = self._run(capsys, ["fc", "--p", "1", "--m", "20000", "--format", "json"])
+        assert _without_digit_limit(json.loads, out)["value"] == want
+
+    def test_check_oeis_bfile_with_long_values(self, tmp_path, capsys):
+        values = self.GEOM2_PRODUCTS
+        text = _without_digit_limit(
+            lambda: "".join(f"{n} {v}\n" for n, v in enumerate(values))
+        )
+        path = tmp_path / "b999999.txt"
+        path.write_text(text)
+        out = self._run(
+            capsys,
+            ["check-oeis", "--spec", "geom:2", "--kind", "gapprod", "--id", "A999999",
+             "--bfile", str(path), "--count", "12"],
+        )
+        assert out == "A999999: matched shift=0 compared=12\n"
 
 
 class TestUsageErrors:

@@ -29,6 +29,24 @@ class TestBinom:
         with pytest.raises(ValueError):
             binom(-1, 0)
 
+    @pytest.mark.parametrize("n,k", [(-1, -1), (-1, 2), (-5, 10)])
+    def test_negative_upper_rejected_whatever_k(self, n, k):
+        with pytest.raises(ValueError, match="upper index"):
+            binom(n, k)
+
+    @pytest.mark.parametrize(
+        "n,k,want",
+        [(0, 0, 1), (0, 1, 0), (0, -1, 0), (7, 0, 1), (7, 7, 1), (7, 8, 0),
+         (7, -3, 0), (10**6, 1, 10**6), (10**6, 10**6 - 1, 10**6)],
+    )
+    def test_edges(self, n, k, want):
+        assert binom(n, k) == want
+
+    def test_pascal_rule(self):
+        for n in range(1, 60):
+            for k in range(-2, n + 3):
+                assert binom(n, k) == binom(n - 1, k - 1) + binom(n - 1, k)
+
     @given(n=st.integers(0, 300), k=st.integers(-5, 305))
     def test_matches_math_comb(self, n, k):
         want = math.comb(n, k) if 0 <= k <= n else 0

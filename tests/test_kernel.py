@@ -1,0 +1,200 @@
+"""Differential tests pinning the one-pass kernel to the per-index reference.
+
+``terms`` computes a run of terms in one pass for every family, and
+``gap_sequence`` derives every gap statistic from consecutive pairs of
+one ``terms`` list. Both must agree exactly with ``term`` and with the
+per-n public functions of ``gaps``; ``term`` for Horadam specs is in
+turn pinned to a plain recurrence loop written here.
+"""
+
+from fractions import Fraction
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gapseq.gaps import (
+    gap,
+    gap_between,
+    gap_product,
+    gap_product_between,
+    gap_sequence,
+    gap_sum,
+    gap_sum_abs,
+    gap_sum_abs_between,
+    gap_sum_between,
+    gap_sum_signed,
+    gap_sum_signed_between,
+)
+from gapseq.sequences import (
+    Binomial,
+    Explicit,
+    Fold,
+    Geometric,
+    Horadam,
+    Linear,
+    Polynomial,
+    Primes,
+    term,
+    terms,
+)
+
+STATS = [
+    (gap_between, gap),
+    (gap_sum_between, gap_sum),
+    (gap_sum_signed_between, gap_sum_signed),
+    (gap_sum_abs_between, gap_sum_abs),
+    (gap_product_between, gap_product),
+]
+
+
+def _newton_to_monomial(newton: list[int]) -> tuple[Fraction, ...]:
+    """Monomial coefficients of sum_j newton[j] * C(n, j)."""
+    out = [Fraction(0)] * max(len(newton), 1)
+    basis = [Fraction(1)]  # C(n, j) in the monomial basis, j = 0
+    for j, d in enumerate(newton):
+        for i, c in enumerate(basis):
+            out[i] += d * c
+        # C(n, j+1) = C(n, j) * (n - j) / (j + 1)
+        nxt = [Fraction(0)] * (len(basis) + 1)
+        for i, c in enumerate(basis):
+            nxt[i + 1] += c / (j + 1)
+            nxt[i] -= c * j / (j + 1)
+        basis = nxt
+    return tuple(out)
+
+
+ints = st.integers(-30, 30)
+horadams = st.builds(
+    Horadam, ints, ints, st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 12)
+)
+# Integer-valued polynomials with non-integer monomial coefficients in general.
+polynomials = st.lists(st.integers(-9, 9), min_size=0, max_size=5).map(
+    lambda d: Polynomial(_newton_to_monomial(d))
+)
+unbounded_specs = st.one_of(
+    st.builds(Linear, st.integers(0, 20), ints),
+    st.builds(Geometric, st.integers(2, 5), st.integers(-100, 100)),
+    polynomials,
+    st.builds(Binomial, st.integers(0, 10), st.integers(1, 5)),
+    horadams,
+    st.just(Primes()),
+    st.just(Fold()),
+)
+explicits = st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=40).map(
+    lambda v: Explicit(tuple(v))
+)
+
+
+@st.composite
+def windows(draw, stats_room: int = 0):
+    """(spec, n0, count) with every index of the window in range."""
+    spec = draw(st.one_of(unbounded_specs, explicits))
+    if isinstance(spec, Explicit):
+        n0 = draw(st.integers(0, len(spec.terms) - 1 - stats_room))
+        count = draw(st.integers(0, len(spec.terms) - n0 - stats_room))
+    else:
+        n0 = draw(st.integers(0, 300))
+        count = draw(st.integers(0, 40))
+    return spec, n0, count
+
+
+class TestTermsMatchTerm:
+    @settings(max_examples=400, deadline=None)
+    @given(windows())
+    def test_every_family(self, window):
+        spec, n0, count = window
+        assert terms(spec, n0, count) == [term(spec, n0 + i) for i in range(count)]
+
+    def test_polynomial_window_shorter_than_degree(self):
+        spec = Polynomial(_newton_to_monomial([1, -2, 3, 5, -7]))
+        for count in range(6):
+            assert terms(spec, 9, count) == [term(spec, 9 + i) for i in range(count)]
+
+    def test_rational_polynomial(self):
+        triangular = Polynomial((0, Fraction(1, 2), Fraction(1, 2)))
+        assert terms(triangular, 10, 4) == [55, 66, 78, 91]
+
+    def test_zero_polynomial(self):
+        assert terms(Polynomial((0,)), 3, 3) == [0, 0, 0]
+
+    def test_primes_window(self):
+        assert terms(Primes(), 5, 5) == [13, 17, 19, 23, 29]
+
+    def test_explicit_overrun_names_first_missing_index(self):
+        with pytest.raises(IndexError, match="index 3 is out of range"):
+            terms(Explicit((1, 2, 3)), 1, 5)
+        with pytest.raises(IndexError, match="index 7 is out of range"):
+            terms(Explicit((1, 2, 3)), 7, 1)
+
+
+def _product_count(spec, count: int, budget: int = 20_000) -> int:
+    """The longest prefix of the first count gaps with at most budget elements
+    in all, so exponential families stay cheap in the product check."""
+    values = terms(spec, 0, count + 1)
+    total = 0
+    for n in range(count):
+        total += max(values[n + 1] - values[n] - 1, 0)
+        if total > budget:
+            return n
+    return count
+
+
+class TestBatchedGapsMatchPerN:
+    @settings(max_examples=300, deadline=None)
+    @given(windows(stats_room=1))
+    def test_every_statistic(self, window):
+        spec, _, count = window
+        for pair_stat, per_n in STATS:
+            if pair_stat is gap_product_between:
+                count = _product_count(spec, count)
+            assert gap_sequence(pair_stat, spec, count) == [
+                per_n(spec, n) for n in range(count)
+            ]
+
+
+def _horadam_loop(spec: Horadam, count: int) -> list[int]:
+    a, b = spec.alpha, spec.beta
+    out = []
+    for i in range(spec.shift + count):
+        if i >= spec.shift:
+            out.append(a)
+        a, b = b, spec.r * b + spec.s * a
+    return out
+
+
+class TestHoradamJump:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            Horadam(0, 1, 1, 1),
+            Horadam(2, -3, -1, 2, 5),
+            Horadam(-4, 7, 2, -1, 3),
+            Horadam(1, 1, 0, 0),
+            Horadam(5, -2, -3, -2, 1),
+        ],
+    )
+    def test_every_index_to_3000(self, spec):
+        want = _horadam_loop(spec, 3000)
+        assert [term(spec, n) for n in range(3000)] == want
+        assert terms(spec, 2345, 655) == want[2345:]
+
+    @settings(max_examples=100, deadline=None)
+    @given(horadams, st.integers(0, 4000))
+    def test_random_index(self, spec, n):
+        assert term(spec, n) == _horadam_loop(spec, n + 1)[n]
+
+    def test_seeds_at_shift(self):
+        spec = Horadam(3, 4, 2, -5, 9)
+        assert spec.seeds_at_shift() == tuple(_horadam_loop(Horadam(3, 4, 2, -5), 11)[9:])
+
+    def test_far_fibonacci_identity(self):
+        # F(2n) = F(n) * (2 F(n+1) - F(n)), checked far beyond the loop range
+        fib = Horadam(0, 1, 1, 1)
+        n = 50_000
+        assert term(fib, 2 * n) == term(fib, n) * (2 * term(fib, n + 1) - term(fib, n))
+
+
+def test_binomial_window_matches_comb():
+    assert terms(Binomial(3, 2), 4, 3) == [comb(7, 2), comb(8, 2), comb(9, 2)]

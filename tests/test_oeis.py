@@ -1,3 +1,5 @@
+import sys
+import threading
 import urllib.error
 from pathlib import Path
 
@@ -57,6 +59,43 @@ class TestParse:
         big = 10**40
         bf = parse_bfile(f"-2 -5\n-1 0\n0 {big}\n")
         assert bf.entries == ((-2, -5), (-1, 0), (0, big))
+
+    def test_value_beyond_4300_digits(self):
+        digits = 5000
+        bf = parse_bfile(b"0 1\n1 " + b"7" * digits + b"\n")
+        assert bf.entries[1][1] == 7 * (10**digits - 1) // 9
+
+    def test_long_values_parse_in_concurrent_threads(self):
+        digits = 5000
+        text = b"".join(b"%d %s\n" % (i, str(i + 1).encode() * digits) for i in range(3))
+        want = [(i + 1) * (10**digits - 1) // 9 for i in range(3)]
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        errors = []
+
+        def worker():
+            try:
+                for _ in range(20):
+                    assert parse_bfile(text).values == want
+            except Exception as exc:  # collected and asserted on below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_non_utf8_bytes_are_a_bfile_error(self):
+        with pytest.raises(BFileError, match=r"line 2: byte 0xe9 is not UTF-8"):
+            parse_bfile(b"0 1\n# caf\xe9\n1 2\n")
 
     def test_round_trip(self):
         text = "3 10\n4 20\n5 -30\n"
