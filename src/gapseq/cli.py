@@ -207,8 +207,7 @@ def _emit_indexed(ns: argparse.Namespace, payload: dict, values: Sequence, n0: i
         print(json.dumps(payload))
     elif ns.format == "csv":
         print("n,value")
-        for i, v in enumerate(values):
-            print(f"{n0 + i},{v}")
+        sys.stdout.writelines(f"{n},{v}\n" for n, v in enumerate(values, n0))
     else:
         print(" ".join(str(v) for v in values))
 
@@ -252,8 +251,7 @@ def _cmd_gaps(ns: argparse.Namespace) -> int:
         )
     elif ns.format == "csv":
         print("n,start,length")
-        for n, g in gaps:
-            print(f"{n},{g.start},{g.length}")
+        sys.stdout.writelines(f"{n},{g.start},{g.length}\n" for n, g in gaps)
     else:
         for n, g in gaps:
             elements = ",".join(str(e) for e in g.elements) or "-"
@@ -309,9 +307,7 @@ def _cmd_gf(ns: argparse.Namespace) -> int:
     elif ns.format == "csv":
         if expansion is None:
             raise ValueError("csv output for gf needs --expand")
-        print("n,value")
-        for i, v in enumerate(expansion):
-            print(f"{i},{v}")
+        _emit_indexed(ns, {}, expansion)
     else:
         print(ratfunc_to_text(f))
         if expansion is not None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import threading
 
 from .gaps import gap_sum_abs
-from .sequences import Fold, SeqSpec, term
+from .sequences import Fold, SeqSpec, terms
 
 
 def fold(n: int) -> int:
@@ -44,7 +44,7 @@ def walk(n0: int, count: int) -> list[int]:
 
 def descent_marker(spec: SeqSpec, n: int) -> int:
     """2*a_n - 1 where the sequence steps down by exactly 1, else 0."""
-    a, b = term(spec, n), term(spec, n + 1)
+    a, b = terms(spec, n, 2)
     return 2 * a - 1 if b - a == -1 else 0
 
 

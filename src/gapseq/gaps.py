@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, TypeVar
 
-from .sequences import SeqSpec, term, terms
+from .sequences import SeqSpec, terms
 
 T = TypeVar("T")
 
@@ -35,8 +35,9 @@ class Gap:
 
 
 # Each statistic is one pure function of a consecutive pair (a, b) =
-# (a_n, a_(n+1)). The per-n functions below and ``gap_sequence`` both
-# apply these, so the arithmetic exists once.
+# (a_n, a_(n+1)). The per-n functions below (on the pair terms(spec, n, 2),
+# one O(log n) jump for Horadam) and ``gap_sequence`` both apply these, so
+# the arithmetic exists once.
 
 
 def gap_between(a: int, b: int) -> Gap:
@@ -79,22 +80,22 @@ def gap_sequence(stat: Callable[[int, int], T], spec: SeqSpec, count: int) -> li
 
 def gap(spec: SeqSpec, n: int) -> Gap:
     """The n-th gap of the sequence described by spec."""
-    return gap_between(term(spec, n), term(spec, n + 1))
+    return gap_between(*terms(spec, n, 2))
 
 
 def gap_sum(spec: SeqSpec, n: int) -> int:
     """Sum of the n-th gap's elements; 0 when the gap is empty."""
-    return gap_sum_between(term(spec, n), term(spec, n + 1))
+    return gap_sum_between(*terms(spec, n, 2))
 
 
 def gap_sum_signed(spec: SeqSpec, n: int) -> int:
     """(a_(n+1) - a_n - 1)(a_n + a_(n+1)) / 2 without clamping; negative at descents."""
-    return gap_sum_signed_between(term(spec, n), term(spec, n + 1))
+    return gap_sum_signed_between(*terms(spec, n, 2))
 
 
 def gap_sum_abs(spec: SeqSpec, n: int) -> int:
     """Sum of a_n + j for j = 1 .. |a_(n+1) - a_n - 1|."""
-    return gap_sum_abs_between(term(spec, n), term(spec, n + 1))
+    return gap_sum_abs_between(*terms(spec, n, 2))
 
 
 def gap_product(spec: SeqSpec, n: int) -> int:
@@ -104,7 +105,7 @@ def gap_product(spec: SeqSpec, n: int) -> int:
     rather than forming the factorial ratio (a_(n+1)-1)!/a_n!, so it
     stays cheap when the terms themselves are huge.
     """
-    return gap_product_between(term(spec, n), term(spec, n + 1))
+    return gap_product_between(*terms(spec, n, 2))
 
 
 def product_range(lo: int, hi: int) -> int:

@@ -11,9 +11,11 @@ polynomial factors cancelled, denominator constant term scaled to 1), so
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence, Union
 
 from .sequences import Horadam
@@ -172,19 +174,33 @@ class RatFunc:
     def expand(self, count: int) -> list[Fraction]:
         """First ``count`` power-series coefficients at the origin.
 
-        Uses the linear recurrence induced by the denominator: with
-        den = 1 + d_1 x + ... + d_k x^k the coefficients satisfy
-        c_i = num_i - sum(d_j * c_(i-j)).
+        With den = 1 + d_1 x + ... + d_k x^k the coefficients satisfy
+        c_i = num_i - sum(d_j * c_(i-j)). That recurrence runs over the
+        integers: with q the lcm of the denominators of den's
+        coefficients, L that of num's, and e_j = q * d_j, the scaled
+        coefficients u_i = q^i * L * c_i are integers satisfying
+        u_i = q^i * L * num_i - sum(e_j * q^(j-1) * u_(i-j)), and
+        c_i = u_i / (q^i * L). Horadam generating functions and integer
+        denominators have q = 1, so the scaled values do not grow.
         """
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        den = self.den.coeffs
+        num, den = self.num.coeffs, self.den.coeffs
+        q = lcm(*(c.denominator for c in den))
+        big_l = lcm(*(c.denominator for c in num))
+        nums = [c.numerator * (big_l // c.denominator) for c in num]
+        weights = [
+            c.numerator * (q // c.denominator) * q ** (j - 1) for j, c in enumerate(den[1:], 1)
+        ]
+        window: deque[int] = deque(maxlen=len(weights))  # u_(i-1), u_(i-2), ...
         out: list[Fraction] = []
+        power = 1  # q^i
         for i in range(count):
-            c = self.num.coefficient(i)
-            for j in range(1, min(i, len(den) - 1) + 1):
-                c -= den[j] * out[i - j]
-            out.append(c)
+            u = (power * nums[i] if i < len(nums) else 0) - sum(map(mul, weights, window))
+            scale = power * big_l  # Fraction(u) skips the gcd that Fraction(u, 1) pays
+            out.append(Fraction(u) if scale == 1 else Fraction(u, scale))
+            window.appendleft(u)
+            power *= q
         return out
 
 

@@ -117,12 +117,13 @@ def cross_check(values: Sequence[int], bfile: BFile, max_shift: int = 4) -> Chec
     Shift s compares values[j] with entry j+s over the overlap. The
     smallest |s| producing full agreement wins, with non-negative shifts
     preferred on ties; when nothing matches, the report carries the
-    first disagreement of the longest-agreeing alignment.
+    first disagreement of the longest-agreeing alignment. A b-file with
+    no entries raises BFileError.
     """
     if not values:
         raise ValueError("no values to check")
     if not bfile.entries:
-        raise ValueError(f"b-file {bfile.seq_id or '<anonymous>'} has no entries")
+        raise BFileError(f"b-file {bfile.seq_id or '<anonymous>'} has no entries")
     entries = bfile.entries
     best: Optional[tuple[int, int, int, Mismatch]] = None
     for shift in sorted(range(-max_shift, max_shift + 1), key=lambda s: (abs(s), s < 0)):

@@ -257,19 +257,21 @@ def _horadam_pair(spec: Horadam, m: int) -> tuple[int, int]:
 
 def _polynomial_run(spec: Polynomial, n0: int, count: int) -> list[int]:
     """Terms of a polynomial from deg + 1 exact start values, then integer
-    forward differences: each level is the running sum of the level below."""
+    forward differences: each level is the running sum of the level below.
+    A run no longer than deg + 1 is just its start values."""
     degree = max(len(spec.coeffs) - 1, 0)
     while degree and spec.coeffs[degree] == 0:
         degree -= 1
-    width = max(count, degree + 1)
-    row = [term(spec, n0 + i) for i in range(degree + 1)]
+    row = [term(spec, n0 + i) for i in range(min(count, degree + 1))]
+    if count <= degree + 1:
+        return row
     for j in range(1, degree + 1):  # row[j] becomes the j-th difference at n0
         for i in range(degree, j - 1, -1):
             row[i] -= row[i - 1]
-    level = [row[degree]] * (width - degree)
+    level = [row[degree]] * (count - degree)
     for j in range(degree - 1, -1, -1):
         level = list(accumulate(level, initial=row[j]))
-    return level[:count]
+    return level
 
 
 _PRIME_LOCK = threading.Lock()

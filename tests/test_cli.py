@@ -373,6 +373,19 @@ class TestCheckOeis:
         assert captured.err.startswith("gapseq: error: line 1:")
         assert "spec grammar" not in captured.err
 
+    @pytest.mark.parametrize("content", [b"", b"# comments only\n\n"])
+    def test_empty_bfile_is_a_bfile_error(self, tmp_path, capsys, content):
+        path = tmp_path / "b000045.txt"
+        path.write_bytes(content)
+        rc = run(
+            ["check-oeis", "--spec", "fib", "--kind", "terms", "--id", "A000045",
+             "--bfile", str(path)]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "gapseq: error: b-file A000045 has no entries\n"
+
     def test_max_shift_zero_rejects_offset(self, capsys):
         tail_spec = "explicit:4,13,42,119"
         rc = run(

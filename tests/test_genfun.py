@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gapseq.gaps import gap_sum_signed
+from gapseq.gaps import gap_sequence, gap_sum_signed, gap_sum_signed_between
 from gapseq.genfun import (
     Poly,
     RatFunc,
@@ -32,6 +32,9 @@ GAP_SUM_GF_PARAMS = [
     (1, 2, 2, 1),
     (1, 2, 2, 2),
 ]
+
+# Denominators up to 12, so normalized den coefficients are often not integers.
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
 class TestPoly:
@@ -124,6 +127,37 @@ class TestExpand:
 
     def test_count_zero(self):
         assert ratfunc((1,), (1, -1)).expand(0) == []
+
+    @given(
+        num=st.lists(rationals, max_size=6),
+        den=st.lists(rationals, min_size=1, max_size=6).filter(lambda d: d[0] != 0),
+        count=st.integers(0, 60),
+    )
+    @example(num=[Fraction(1, 2)], den=[Fraction(3), Fraction(1, 2), Fraction(-2, 5)], count=12)
+    @example(num=[], den=[Fraction(-7, 3)], count=5)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_recurrence(self, num, den, count):
+        got = ratfunc(tuple(num), tuple(den)).expand(count)
+        assert got == fraction_series(num, den, count)
+        assert all(isinstance(c, Fraction) for c in got)
+
+    @pytest.mark.parametrize("a,b", [(0, 1), (2, 5), (3, -4)])
+    def test_gap_sum_gf_at_benchmark_scale(self, a, b):
+        spec = Horadam(a, b, 2, 2)
+        expansion = horadam_gap_sum_gf(spec).expand(2300)
+        assert expansion == gap_sequence(gap_sum_signed_between, spec, 2300)
+
+
+def fraction_series(num, den, count):
+    """Power-series coefficients of num/den by plain division in Fraction:
+    c_i = (num_i - sum(den_j * c_(i-j) for j >= 1)) / den_0."""
+    out = []
+    for i in range(count):
+        c = Fraction(num[i]) if i < len(num) else Fraction(0)
+        for j in range(1, min(i, len(den) - 1) + 1):
+            c -= den[j] * out[i - j]
+        out.append(c / den[0])
+    return out
 
 
 class TestHoradamGf:

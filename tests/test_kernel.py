@@ -3,9 +3,12 @@
 ``terms`` computes a run of terms in one pass for every family, and
 ``gap_sequence`` derives every gap statistic from consecutive pairs of
 one ``terms`` list. Both must agree exactly with ``term`` and with the
-per-n public functions of ``gaps``; ``term`` for Horadam specs is in
-turn pinned to a plain recurrence loop written here.
+per-n public functions of ``gaps``, which read their pair from
+``terms(spec, n, 2)`` and are pinned to ``term`` here too; ``term`` for
+Horadam specs is in turn pinned to a plain recurrence loop written here.
 """
+
+import re
 
 from fractions import Fraction
 from math import comb
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapseq.folding import descent_marker
 from gapseq.gaps import (
     gap,
     gap_between,
@@ -152,6 +156,32 @@ class TestBatchedGapsMatchPerN:
             assert gap_sequence(pair_stat, spec, count) == [
                 per_n(spec, n) for n in range(count)
             ]
+
+
+class TestPerNReadsTermPair:
+    @settings(max_examples=300, deadline=None)
+    @given(windows(stats_room=1))
+    def test_every_statistic(self, window):
+        spec, n0, count = window
+        for n in range(n0, n0 + min(count, 2)):
+            a, b = term(spec, n), term(spec, n + 1)
+            for pair_stat, per_n in STATS:
+                if pair_stat is gap_product_between and b - a - 1 > 20_000:
+                    continue
+                assert per_n(spec, n) == pair_stat(a, b)
+            assert descent_marker(spec, n) == (2 * a - 1 if b - a == -1 else 0)
+
+    @pytest.mark.parametrize("per_n", [f for _, f in STATS] + [descent_marker])
+    @pytest.mark.parametrize("n,missing", [(2, 3), (3, 3), (7, 7)])
+    def test_explicit_overrun_error_text(self, per_n, n, missing):
+        message = f"explicit sequence has 3 terms, index {missing} is out of range"
+        with pytest.raises(IndexError, match=re.escape(message)):
+            per_n(Explicit((1, 2, 3)), n)
+
+    @pytest.mark.parametrize("per_n", [f for _, f in STATS] + [descent_marker])
+    def test_negative_index_error_text(self, per_n):
+        with pytest.raises(IndexError, match=re.escape("sequence index must be >= 0, got -1")):
+            per_n(Linear(1, 0), -1)
 
 
 def _horadam_loop(spec: Horadam, count: int) -> list[int]:

@@ -147,6 +147,10 @@ class TestCrossCheck:
         with pytest.raises(ValueError):
             cross_check([1], BFile("A000000", ()), 2)
 
+    def test_empty_bfile_is_a_bfile_error(self):
+        with pytest.raises(oeis.BFileError, match="A000000 has no entries"):
+            cross_check([1], BFile("A000000", ()), 2)
+
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=12))
     def test_self_check_property(self, values):
         report = cross_check(values, bfile_of(values, start=-3), 4)
