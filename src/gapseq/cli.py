@@ -13,19 +13,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import factorial
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from . import oeis, tables
 from ._intdigits import unlimited_int_digits
-from .combinatorics import (
-    check_fc_identity,
-    check_raney_identity,
-    fuss_catalan,
-    gap_product_closed,
-    raney,
-)
+from .combinatorics import fc_identity_sides, fuss_catalan, raney, raney_identity_sides
 from .gaps import (
     gap_between,
     gap_product_between,
@@ -215,8 +208,6 @@ def _emit_indexed(ns: argparse.Namespace, payload: dict, values: Sequence, n0: i
 def _emit_scalar(ns: argparse.Namespace, payload: dict, value: Union[int, Fraction]) -> None:
     if ns.format == "json":
         print(json.dumps(dict(payload, value=_json_value(value))))
-    elif ns.format == "csv":
-        raise ValueError("csv output is not supported for scalar results")
     else:
         print(value)
 
@@ -336,22 +327,17 @@ def _cmd_raney(ns: argparse.Namespace) -> int:
 def _cmd_check_identity(ns: argparse.Namespace) -> int:
     if ns.fc is not None:
         k, n = ns.fc
-        ok = check_fc_identity(k, n)
-        lhs = gap_product_closed(k, 1, n)
-        rhs = factorial(k) * fuss_catalan(n, k)
+        lhs, rhs = fc_identity_sides(k, n)
         detail = f"P_{n}(kn+1, k={k}) = {lhs} vs k! * fc({n},{k}) = {rhs}"
         payload = {"command": "check-identity", "identity": "fc", "k": k, "n": n}
     else:
         k, r, n = ns.raney
-        ok = check_raney_identity(k, r, n)
-        lhs = gap_product_closed(k, r, n)
-        rhs = Fraction(factorial(k), r) * raney(n + 1, r, k)
+        lhs, rhs = raney_identity_sides(k, r, n)
         detail = f"P_{n}(kn+r, k={k}, r={r}) = {lhs} vs (k!/r) * raney({n + 1},{r},{k}) = {rhs}"
         payload = {"command": "check-identity", "identity": "raney", "k": k, "r": r, "n": n}
+    ok = lhs == rhs
     if ns.format == "json":
         print(json.dumps(dict(payload, holds=ok, detail=detail)))
-    elif ns.format == "csv":
-        raise ValueError("csv output is not supported for check-identity")
     else:
         print(f"{detail}: {'holds' if ok else 'FAILS'}")
     return 0 if ok else 1
@@ -381,8 +367,6 @@ def _cmd_table(ns: argparse.Namespace) -> int:
                 ]
             )
         )
-    elif ns.format == "csv":
-        raise ValueError("csv output is not supported for tables")
     else:
         print("\n".join(tables.render_table(t) for t in built), end="")
     return 0
@@ -425,8 +409,6 @@ def _cmd_check_oeis(ns: argparse.Namespace) -> int:
                 "got": report.first_mismatch.got,
             }
         print(json.dumps(payload))
-    elif ns.format == "csv":
-        raise ValueError("csv output is not supported for check-oeis")
     else:
         if report.matched:
             print(f"{ns.id}: matched shift={report.shift} compared={report.compared}")
@@ -450,21 +432,24 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=f"sequence spec grammar: {_GRAMMAR}",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    # csv is offered only where the output is a table of rows.
     fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    fmt_csv = argparse.ArgumentParser(add_help=False)
+    fmt_csv.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
-    p = sub.add_parser("terms", parents=[fmt], help="sequence terms")
+    p = sub.add_parser("terms", parents=[fmt_csv], help="sequence terms")
     p.add_argument("--spec", required=True)
     p.add_argument("--count", type=_nonneg, required=True)
     p.add_argument("--from", dest="start", type=_nonneg, default=0)
     p.set_defaults(func=_cmd_terms)
 
-    p = sub.add_parser("gaps", parents=[fmt], help="gap start/length/elements")
+    p = sub.add_parser("gaps", parents=[fmt_csv], help="gap start/length/elements")
     p.add_argument("--spec", required=True)
     p.add_argument("--count", type=_nonneg, required=True)
     p.set_defaults(func=_cmd_gaps)
 
-    p = sub.add_parser("gapsum", parents=[fmt], help="gap-sum sequence")
+    p = sub.add_parser("gapsum", parents=[fmt_csv], help="gap-sum sequence")
     p.add_argument("--spec", required=True)
     p.add_argument("--count", type=_nonneg, required=True)
     group = p.add_mutually_exclusive_group()
@@ -472,12 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--abs", action="store_true")
     p.set_defaults(func=_cmd_gapsum)
 
-    p = sub.add_parser("gapprod", parents=[fmt], help="gap-product sequence")
+    p = sub.add_parser("gapprod", parents=[fmt_csv], help="gap-product sequence")
     p.add_argument("--spec", required=True)
     p.add_argument("--count", type=_nonneg, required=True)
     p.set_defaults(func=_cmd_gapprod)
 
-    p = sub.add_parser("gf", parents=[fmt], help="Horadam generating functions")
+    p = sub.add_parser("gf", parents=[fmt_csv], help="Horadam generating functions")
     p.add_argument("--horadam", type=_int_list(4), required=True, metavar="A,B,R,S")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--plain", dest="kind", action="store_const", const="plain")
@@ -490,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expand", type=_nonneg, default=None, metavar="N")
     p.set_defaults(func=_cmd_gf, kind="plain")
 
-    p = sub.add_parser("expand", parents=[fmt], help="expand num/den coefficient lists")
+    p = sub.add_parser("expand", parents=[fmt_csv], help="expand num/den coefficient lists")
     p.add_argument("--num", type=_coeff_list, required=True, metavar="C0,C1,...")
     p.add_argument("--den", type=_coeff_list, required=True, metavar="C0,C1,...")
     p.add_argument("--count", type=_nonneg, required=True)
@@ -549,9 +534,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (oeis.FetchError, oeis.BFileError, OSError) as exc:
         print(f"gapseq: error: {exc}", file=sys.stderr)
         return 1
-    except (SpecParseError, SpecError, ValueError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:
         print(f"gapseq: error: {exc}", file=sys.stderr)
-        print(f"gapseq: spec grammar: {_GRAMMAR}", file=sys.stderr)
+        if isinstance(exc, (SpecParseError, SpecError)):
+            print(f"gapseq: spec grammar: {_GRAMMAR}", file=sys.stderr)
         return 2
 
 

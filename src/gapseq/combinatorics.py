@@ -56,12 +56,23 @@ def gap_product_closed(k: int, r: int, n: int) -> int:
     return product_range(base + 1, base + k)
 
 
+def fc_identity_sides(k: int, n: int) -> tuple[int, int]:
+    """Both sides of P_n(kn+1) = k! * fuss_catalan(n, k), left then right."""
+    return gap_product_closed(k, 1, n), factorial(k) * fuss_catalan(n, k)
+
+
+def raney_identity_sides(k: int, r: int, n: int) -> tuple[int, Fraction]:
+    """Both sides of P_n(kn+r) = (k!/r) * raney(n+1, r, k), left then right."""
+    return gap_product_closed(k, r, n), Fraction(factorial(k), r) * raney(n + 1, r, k)
+
+
 def check_fc_identity(k: int, n: int) -> bool:
     """Whether the gap product of k*n + 1 equals k! * fuss_catalan(n, k)."""
-    return gap_product_closed(k, 1, n) == factorial(k) * fuss_catalan(n, k)
+    lhs, rhs = fc_identity_sides(k, n)
+    return lhs == rhs
 
 
 def check_raney_identity(k: int, r: int, n: int) -> bool:
     """Whether the gap product of k*n + r equals (k!/r) * raney(n+1, r, k)."""
-    lhs = Fraction(gap_product_closed(k, r, n))
-    return lhs == Fraction(factorial(k), r) * raney(n + 1, r, k)
+    lhs, rhs = raney_identity_sides(k, r, n)
+    return lhs == rhs

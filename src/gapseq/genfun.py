@@ -6,6 +6,13 @@ Polynomials store Fraction coefficients in ascending order with no
 trailing zeros. Rational functions normalize on construction (common
 polynomial factors cancelled, denominator constant term scaled to 1), so
 ``==`` decides whether two of them denote the same power series.
+
+Every Horadam builder goes through ``ratfunc_from_terms``, which recovers
+the shortest linear recurrence of a run of terms by Berlekamp-Massey.
+That is exact, not a guess: C-finite sequences are closed under shifts,
+sums and termwise products (Kauers & Paule, *The Concrete Tetrahedron*,
+ch. 4), so each statistic of a Horadam pair has a recurrence of order at
+most ``ORDER``, and the builders feed more terms than determine it.
 """
 
 from __future__ import annotations
@@ -16,8 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
+from .gaps import gap_sequence, gap_sum_signed_between
 from .sequences import Horadam
 
 Coeff = Union[int, Fraction]
@@ -165,12 +173,6 @@ class RatFunc:
     def __mul__(self, other: RatFunc) -> RatFunc:
         return RatFunc(self.num * other.num, self.den * other.den)
 
-    def __neg__(self) -> RatFunc:
-        return RatFunc(-self.num, self.den)
-
-    def scale(self, factor: Coeff) -> RatFunc:
-        return RatFunc(self.num.scale(factor), self.den)
-
     def expand(self, count: int) -> list[Fraction]:
         """First ``count`` power-series coefficients at the origin.
 
@@ -209,69 +211,79 @@ def ratfunc(num: Sequence[Coeff], den: Sequence[Coeff] = (1,)) -> RatFunc:
     return RatFunc(Poly(tuple(num)), Poly(tuple(den)))
 
 
-def horadam_gf(spec: Horadam) -> RatFunc:
-    """Generating function of the Horadam sequence spec describes.
+def ratfunc_from_terms(seq: Sequence[Coeff]) -> RatFunc:
+    """Generating function of the shortest linear recurrence seq satisfies.
 
-    For seeds (a, b) and recurrence h_i = r*h_(i-1) + s*h_(i-2) this is
-    (a - (a*r - b)x) / (1 - r*x - s*x^2); a positive shift is folded
-    into the seeds first.
+    Berlekamp-Massey over the rationals (J. Massey, IEEE Trans. IT 1969)
+    finds the shortest register generating seq: its length L and its
+    connection polynomial C. L can exceed deg C when the first terms do
+    not follow the recurrence (3, 5, 10, 20, ... has L = 2, C = 1 - 2x).
+    The result is num / C with num = (C * series) mod x^L. Massey's
+    theorem makes the first 2L terms determine the register, so
+    2L >= len(seq) (what terms with no recurrence give) raises
+    ArithmeticError, as does an expansion that does not reproduce seq.
     """
-    a, b = spec.seeds_at_shift()
-    r, s = spec.r, spec.s
-    return ratfunc((a, b - a * r), (1, -r, -s))
+    values = [Fraction(v) for v in seq]
+    conn = [Fraction(1)]  # C
+    before = [Fraction(1)]  # C before the last length change, `step` terms ago
+    length, step, last_disc = 0, 1, Fraction(1)  # last_disc: the discrepancy then
+    for n, value in enumerate(values):
+        disc = value + sum(c * values[n - i] for i, c in enumerate(conn[1:], 1))
+        if disc == 0:
+            step += 1
+            continue
+        factor = disc / last_disc
+        updated = conn + [Fraction(0)] * max(step + len(before) - len(conn), 0)
+        for i, c in enumerate(before):
+            updated[i + step] -= factor * c
+        if 2 * length <= n:
+            length, before, last_disc, step = n + 1 - length, conn, disc, 1
+        else:
+            step += 1
+        conn = updated
+    if 2 * length >= len(values):
+        raise ArithmeticError(f"{len(values)} terms determine no recurrence (L = {length})")
+    num = [sum(c * values[k - i] for i, c in enumerate(conn[: k + 1])) for k in range(length)]
+    f = RatFunc(Poly(tuple(num)), Poly(tuple(conn)))
+    if f.expand(len(values)) != values:
+        raise ArithmeticError("the recovered recurrence does not reproduce the terms")
+    return f
+
+
+# (a^2, ab, b^2, a, b) of a Horadam pair (a, b) = (a_n, a_(n+1)) evolves by
+# one fixed 5x5 linear map, so every statistic below, a linear combination
+# of the five, has a recurrence of order at most 5; Massey's theorem makes
+# 10 terms determine it, and the 2 more check it.
+ORDER = 5
+
+
+def _pair_gf(stat: Callable[[int, int], int], spec: Horadam) -> RatFunc:
+    return ratfunc_from_terms(gap_sequence(stat, spec, 2 * ORDER + 2))
+
+
+def horadam_gf(spec: Horadam) -> RatFunc:
+    """Generating function of the Horadam sequence a_n that spec describes."""
+    return _pair_gf(lambda a, b: a, spec)
 
 
 def horadam_shift_gf(spec: Horadam) -> RatFunc:
     """Generating function of the once-shifted sequence a_(n+1)."""
-    a, b = spec.seeds_at_shift()
-    r, s = spec.r, spec.s
-    return ratfunc((b, a * s), (1, -r, -s))
-
-
-def _square_den(r: int, s: int) -> tuple[int, int, int, int]:
-    t = r * r + s
-    return (1, -t, -s * t, s**3)
+    return _pair_gf(lambda a, b: b, spec)
 
 
 def horadam_square_gf(spec: Horadam) -> RatFunc:
     """Generating function of the squared terms a_n**2."""
-    a, b = spec.seeds_at_shift()
-    r, s = spec.r, spec.s
-    t = r * r + s
-    num = (
-        a * a,
-        -(a * a * t - b * b),
-        -s * (a * a * r * r - 2 * a * b * r + b * b),
-    )
-    return ratfunc(num, _square_den(r, s))
+    return _pair_gf(lambda a, b: a * a, spec)
 
 
 def horadam_shift_square_gf(spec: Horadam) -> RatFunc:
     """Generating function of the shifted squares a_(n+1)**2."""
-    a, b = spec.seeds_at_shift()
-    r, s = spec.r, spec.s
-    num = (
-        b * b,
-        s * (a * a * s + 2 * a * b * r - b * b),
-        -(a * a * s**3),
-    )
-    return ratfunc(num, _square_den(r, s))
+    return _pair_gf(lambda a, b: b * b, spec)
 
 
 def horadam_gap_sum_gf(spec: Horadam) -> RatFunc:
-    """Generating function of the signed gap-sums of a Horadam sequence.
-
-    Termwise this is (a_(n+1)^2 - a_n^2 - a_(n+1) - a_n) / 2, so the
-    four series above combine as (shifted squares - squares - shifted
-    sequence - sequence) scaled by one half.
-    """
-    combined = (
-        horadam_shift_square_gf(spec)
-        - horadam_square_gf(spec)
-        - horadam_shift_gf(spec)
-        - horadam_gf(spec)
-    )
-    return combined.scale(Fraction(1, 2))
+    """Generating function of the signed gap-sums of a Horadam sequence."""
+    return _pair_gf(gap_sum_signed_between, spec)
 
 
 def integer_coefficients(f: RatFunc) -> tuple[list[int], list[int]]:

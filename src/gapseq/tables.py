@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Optional, Union
 
-from .combinatorics import as_integer, gap_product_closed, raney
-from .gaps import gap_product, gap_sequence, gap_sum_between, gap_sum_signed_between
+from .combinatorics import as_integer, raney
+from .gaps import gap_product_between, gap_sequence, gap_sum_between, gap_sum_signed_between
 from .genfun import Poly, RatFunc, horadam_gap_sum_gf, horadam_gf, ratfunc_to_text
 from .sequences import Binomial, Horadam, Linear, Polynomial, SeqSpec
 
@@ -208,10 +208,13 @@ HALF_FACTOR_NOTE = (
 )
 
 
-def _product_cell(k: int, r: int, n: int) -> int:
-    if k == 0:
-        return gap_product(Linear(0, r), n)
-    return gap_product_closed(k, r, n)
+def _cell_notes(label: str, computed: list[int], published: tuple) -> list[str]:
+    """One correction per cell where the published value differs."""
+    return [
+        f"row {label}, n={n}: published {theirs}, recomputed {ours}"
+        for n, (ours, theirs) in enumerate(zip(computed, published))
+        if ours != theirs
+    ]
 
 
 def figurate_table(count: int = 8) -> RefTable:
@@ -237,14 +240,11 @@ def fc_tables(count: int = 6) -> list[RefTable]:
     header = ("a_n",) + tuple(f"n={n}" for n in range(count))
     prod_rows = []
     prod_corrections = []
+    products = {}
     for label, k, published in PUBLISHED_PRODUCTS_PLUS_1:
-        computed = [_product_cell(k, 1, n) for n in range(count)]
-        prod_rows.append((label,) + tuple(str(v) for v in computed))
-        for n, (ours, theirs) in enumerate(zip(computed, published)):
-            if ours != theirs:
-                prod_corrections.append(
-                    f"row {label}, n={n}: published {theirs}, recomputed {ours}"
-                )
+        computed = products[k] = gap_sequence(gap_product_between, Linear(k, 1), count)
+        prod_rows.append((label, *map(str, computed)))
+        prod_corrections += _cell_notes(label, computed, published)
     if any(c.startswith("row 4n+1") for c in prod_corrections):
         prod_corrections.append(
             "row 4n+1: the published row omits the n=3 value 3360 and lists the "
@@ -255,15 +255,9 @@ def fc_tables(count: int = 6) -> list[RefTable]:
     fc_rows = []
     fc_corrections = []
     for label, k, published in PUBLISHED_FUSS_CATALAN:
-        computed = [
-            as_integer(Fraction(_product_cell(k, 1, n), factorial(k))) for n in range(count)
-        ]
-        fc_rows.append((label,) + tuple(str(v) for v in computed))
-        for n, (ours, theirs) in enumerate(zip(computed, published)):
-            if ours != theirs:
-                fc_corrections.append(
-                    f"row {label}, n={n}: published {theirs}, recomputed {ours}"
-                )
+        computed = [as_integer(Fraction(p, factorial(k))) for p in products[k]]
+        fc_rows.append((label, *map(str, computed)))
+        fc_corrections += _cell_notes(label, computed, published)
     return [
         RefTable(
             "gap products of kn+1", header, tuple(prod_rows), tuple(prod_corrections)
@@ -282,8 +276,8 @@ def raney_tables(count: int = 6) -> list[RefTable]:
     prod_rows = []
     prod_corrections = []
     for label, k, published in PUBLISHED_PRODUCTS_PLUS_2:
-        computed = [_product_cell(k, 2, n) for n in range(count)]
-        prod_rows.append((label,) + tuple(str(v) for v in computed))
+        computed = gap_sequence(gap_product_between, Linear(k, 2), count)
+        prod_rows.append((label, *map(str, computed)))
         if k == 0:
             # The whole published row prints the factorial-ratio value 1/2;
             # one footnote instead of a diff per cell.
@@ -291,24 +285,16 @@ def raney_tables(count: int = 6) -> list[RefTable]:
                 "row 2: published 1/2 throughout, from the factorial-ratio form "
                 "(a_(n+1)-1)!/a_n!; the empty gap's product is 1"
             )
-            continue
-        for n, (ours, theirs) in enumerate(zip(computed, published)):
-            if ours != theirs:
-                prod_corrections.append(
-                    f"row {label}, n={n}: published {theirs}, recomputed {ours}"
-                )
+        else:
+            prod_corrections += _cell_notes(label, computed, published)
     prod_corrections.append('row labeled "5n+1": values are those of 5n+2')
 
     raney_rows = []
     raney_corrections = []
     for label, k, published in PUBLISHED_RANEY_ARRAY:
         computed = [as_integer(raney(n + 1, 2, k)) for n in range(count)]
-        raney_rows.append((label,) + tuple(str(v) for v in computed))
-        for n, (ours, theirs) in enumerate(zip(computed, published)):
-            if ours != theirs:
-                raney_corrections.append(
-                    f"row {label}, n={n}: published {theirs}, recomputed {ours}"
-                )
+        raney_rows.append((label, *map(str, computed)))
+        raney_corrections += _cell_notes(label, computed, published)
     raney_corrections.append(FC_ORIENTATION_NOTE)
     return [
         RefTable(

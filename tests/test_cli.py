@@ -243,7 +243,7 @@ class TestCheckIdentity:
         assert "holds" in out
 
     def test_failed_identity_exit_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "check_fc_identity", lambda k, n: False)
+        monkeypatch.setattr(cli, "fc_identity_sides", lambda k, n: (30, 31))
         assert run(["check-identity", "--fc", "3,2"]) == 1
         assert "FAILS" in capsys.readouterr().out
 
@@ -472,7 +472,9 @@ class TestOutputBeyond4300Digits:
 class TestUsageErrors:
     def test_bad_spec_exit_two(self, capsys):
         assert run(["gapsum", "--spec", "linear:3;1", "--count", "5"]) == 2
-        assert "gapseq: error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "gapseq: error:" in err
+        assert "spec grammar" in err
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -493,6 +495,33 @@ class TestUsageErrors:
         assert run(["fc", "--p", "1", "--m", "3", "--format", "csv"]) == 2
         assert run(["check-identity", "--fc", "3,2", "--format", "csv"]) == 2
         assert run(["table", "figurate", "--format", "csv"]) == 2
+
+    def test_csv_rejected_by_the_parser(self, capsys):
+        for argv in (
+            ["raney", "--p", "2", "--r", "2", "--n", "2"],
+            ["check-oeis", "--spec", "fib", "--kind", "terms", "--id", "A000045",
+             "--bfile", str(FIXTURES / "b109454.txt")],
+        ):
+            assert run([*argv, "--format", "csv"]) == 2
+            err = capsys.readouterr().err
+            assert "invalid choice: 'csv'" in err
+            assert "spec grammar" not in err
+
+    def test_explicit_overrun_shows_no_grammar(self, capsys):
+        assert run(["gapsum", "--spec", "explicit:1,5", "--count", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "index 2 is out of range" in err
+        assert "spec grammar" not in err
+
+    def test_count_zero_check_shows_no_grammar(self, capsys):
+        rc = run(
+            ["check-oeis", "--spec", "fib", "--kind", "terms", "--id", "A000045",
+             "--bfile", str(FIXTURES / "b109454.txt"), "--count", "0"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "no values to check" in err
+        assert "spec grammar" not in err
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +18,7 @@ from gapseq.genfun import (
     poly_divmod,
     poly_gcd,
     ratfunc,
+    ratfunc_from_terms,
     ratfunc_from_text,
     ratfunc_to_text,
 )
@@ -256,12 +258,23 @@ horadam_specs = st.builds(
 )
 
 
+def edge_specs(test):
+    """Examples that pin the register length L against deg C: s = 0
+    (Horadam(3, 5, 2, 0) has L = 2 and C = 1 - 2x), r = s = 0 (L = 2,
+    C = 1) and zero seeds (L = 0, the zero series)."""
+    for spec in (Horadam(3, 5, 2, 0), Horadam(3, 5, 0, 0), Horadam(0, 0, 2, 3)):
+        test = example(spec=spec)(test)
+    return test
+
+
 class TestGfProperties:
+    @edge_specs
     @given(spec=horadam_specs)
     @settings(max_examples=80)
     def test_gf_expansion_matches_recurrence(self, spec):
         assert horadam_gf(spec).expand(40) == terms(spec, 0, 40)
 
+    @edge_specs
     @given(spec=horadam_specs)
     @settings(max_examples=80)
     def test_square_gfs_match_squared_terms(self, spec):
@@ -269,6 +282,7 @@ class TestGfProperties:
         assert horadam_square_gf(spec).expand(40) == [v * v for v in window[:40]]
         assert horadam_shift_square_gf(spec).expand(40) == [v * v for v in window[1:]]
 
+    @edge_specs
     @given(spec=horadam_specs)
     @settings(max_examples=60)
     def test_gap_sum_gf_matches_signed_sums(self, spec):
@@ -287,6 +301,10 @@ class TestGfProperties:
         g = poly_gcd(f.num, f.den)
         assert g.degree <= 0
         assert (f - f).expand(8) == [0] * 8
+
+    def test_from_terms_rejects_no_recurrence(self):
+        with pytest.raises(ArithmeticError):
+            ratfunc_from_terms([factorial(n) for n in range(12)])
 
 
 class TestRendering:
