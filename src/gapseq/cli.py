@@ -10,11 +10,12 @@ failed check, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import oeis, tables
 from ._intdigits import unlimited_int_digits
@@ -86,31 +87,20 @@ def parse_spec(text: str) -> SeqSpec:
     if bare in _ALIASES:
         return _ALIASES[bare]
     name, sep, rest = bare.partition(":")
-    if not sep:
-        raise SpecParseError(f"unknown sequence family {bare!r}", text, 0)
+    if not sep or name not in _FAMILIES:
+        raise SpecParseError(f"unknown sequence family {name!r}", text, 0)
+    family, arities, convert = _FAMILIES[name]
     base = text.index(":") + 1
-    args = _split_args(rest, base)
-    arities = {"linear": (2,), "geom": (1, 2), "binom": (2,), "horadam": (4, 5)}
+    if name == "poly" and not rest:
+        raise SpecParseError("poly needs at least one coefficient", text, base)
+    values = tuple(_arg(a, convert, text) for a in _split_args(rest, base))
+    if arities is not None and len(values) not in arities:
+        wanted = " or ".join(str(w) for w in arities)
+        raise SpecParseError(f"{name} takes {wanted} arguments, got {len(values)}", text, base)
     try:
-        if name in arities:
-            values = [_int(a, text) for a in args]
-            if len(values) not in arities[name]:
-                wanted = " or ".join(str(w) for w in arities[name])
-                raise SpecParseError(
-                    f"{name} takes {wanted} arguments, got {len(values)}", text, base
-                )
-            kind = {"linear": Linear, "geom": Geometric, "binom": Binomial,
-                    "horadam": Horadam}[name]
-            return kind(*values)
-        if name == "poly":
-            if not rest:
-                raise SpecParseError("poly needs at least one coefficient", text, base)
-            return Polynomial(tuple(_fraction(a, text) for a in args))
-        if name == "explicit":
-            return Explicit(tuple(_int(a, text) for a in args))
+        return family(*values) if arities is not None else family(values)
     except SpecError as exc:
         raise SpecParseError(str(exc), text, base) from exc
-    raise SpecParseError(f"unknown sequence family {name!r}", text, 0)
 
 
 def _split_args(rest: str, base: int) -> list[tuple[str, int]]:
@@ -122,20 +112,24 @@ def _split_args(rest: str, base: int) -> list[tuple[str, int]]:
     return args
 
 
-def _int(arg: tuple[str, int], text: str) -> int:
+def _arg(arg: tuple[str, int], convert: type, text: str) -> Union[int, Fraction]:
     token, pos = arg
     try:
-        return int(token)
-    except ValueError:
-        raise SpecParseError(f"expected an integer, got {token!r}", text, pos) from None
-
-
-def _fraction(arg: tuple[str, int], text: str) -> Fraction:
-    token, pos = arg
-    try:
-        return Fraction(token)
+        return convert(token)
     except (ValueError, ZeroDivisionError):
-        raise SpecParseError(f"expected a rational, got {token!r}", text, pos) from None
+        noun = "an integer" if convert is int else "a rational"
+        raise SpecParseError(f"expected {noun}, got {token!r}", text, pos) from None
+
+
+# family -> (class, argument counts, or None for one tuple of any length, argument type)
+_FAMILIES: dict[str, tuple[Callable[..., SeqSpec], Optional[tuple[int, ...]], type]] = {
+    "linear": (Linear, (2,), int),
+    "geom": (Geometric, (1, 2), int),
+    "binom": (Binomial, (2,), int),
+    "horadam": (Horadam, (4, 5), int),
+    "poly": (Polynomial, None, Fraction),
+    "explicit": (Explicit, None, int),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -223,42 +217,41 @@ def _cmd_terms(ns: argparse.Namespace) -> int:
     return 0
 
 
+# Elements per write in gaps' text output, so memory stays flat however long a gap is.
+_GAP_CHUNK = 4096
+
+
 def _cmd_gaps(ns: argparse.Namespace) -> int:
     spec = parse_spec(ns.spec)
     gaps = list(enumerate(gap_sequence(gap_between, spec, ns.count)))
     if ns.format == "json":
-        print(
-            json.dumps(
-                {
-                    "command": "gaps",
-                    "spec": ns.spec,
-                    "gaps": [
-                        {"n": n, "start": g.start, "length": g.length,
-                         "elements": list(g.elements)}
-                        for n, g in gaps
-                    ],
-                }
-            )
-        )
+        rows = [{"n": n, **dataclasses.asdict(g), "elements": list(g.elements)} for n, g in gaps]
+        print(json.dumps({"command": "gaps", "spec": ns.spec, "gaps": rows}))
     elif ns.format == "csv":
         print("n,start,length")
         sys.stdout.writelines(f"{n},{g.start},{g.length}\n" for n, g in gaps)
     else:
+        write = sys.stdout.write
         for n, g in gaps:
-            elements = ",".join(str(e) for e in g.elements) or "-"
-            print(f"{n} {g.start} {g.length} {elements}")
+            write(f"{n} {g.start} {g.length} " + ("" if g.length else "-"))
+            for i in range(0, g.length, _GAP_CHUNK):
+                write(("," if i else "") + ",".join(map(str, g.elements[i:i + _GAP_CHUNK])))
+            write("\n")
     return 0
+
+
+# gapsum kinds: the first is the default and has no flag.
+_GAP_SUMS: dict[str, Callable[[int, int], int]] = {
+    "clamped": gap_sum_between,
+    "signed": gap_sum_signed_between,
+    "abs": gap_sum_abs_between,
+}
 
 
 def _cmd_gapsum(ns: argparse.Namespace) -> int:
     spec = parse_spec(ns.spec)
-    func = (
-        gap_sum_signed_between if ns.signed else gap_sum_abs_between if ns.abs
-        else gap_sum_between
-    )
-    kind = "signed" if ns.signed else "abs" if ns.abs else "clamped"
-    values = gap_sequence(func, spec, ns.count)
-    _emit_indexed(ns, {"command": "gapsum", "spec": ns.spec, "kind": kind}, values)
+    values = gap_sequence(_GAP_SUMS[ns.kind], spec, ns.count)
+    _emit_indexed(ns, {"command": "gapsum", "spec": ns.spec, "kind": ns.kind}, values)
     return 0
 
 
@@ -295,14 +288,13 @@ def _cmd_gf(ns: argparse.Namespace) -> int:
         if expansion is not None:
             payload["expansion"] = [_json_value(v) for v in expansion]
         print(json.dumps(payload))
-    elif ns.format == "csv":
-        if expansion is None:
-            raise ValueError("csv output for gf needs --expand")
-        _emit_indexed(ns, {}, expansion)
+    elif ns.format == "csv" and expansion is None:
+        raise ValueError("csv output for gf needs --expand")
     else:
-        print(ratfunc_to_text(f))
+        if ns.format == "text":
+            print(ratfunc_to_text(f))
         if expansion is not None:
-            print(" ".join(str(v) for v in expansion))
+            _emit_indexed(ns, {}, expansion)
     return 0
 
 
@@ -354,19 +346,7 @@ _TABLE_BUILDERS: dict[str, Callable[[], list[tables.RefTable]]] = {
 def _cmd_table(ns: argparse.Namespace) -> int:
     built = _TABLE_BUILDERS[ns.name]()
     if ns.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "title": t.title,
-                        "headers": list(t.headers),
-                        "rows": [list(row) for row in t.rows],
-                        "corrections": list(t.corrections),
-                    }
-                    for t in built
-                ]
-            )
-        )
+        print(json.dumps([dataclasses.asdict(t) for t in built]))
     else:
         print("\n".join(tables.render_table(t) for t in built), end="")
     return 0
@@ -393,22 +373,11 @@ def _cmd_check_oeis(ns: argparse.Namespace) -> int:
     values = terms(spec, 0, count) if func is None else gap_sequence(func, spec, count)
     report = oeis.cross_check(values, bfile, ns.max_shift)
     if ns.format == "json":
-        payload = {
-            "command": "check-oeis",
-            "id": ns.id,
-            "spec": ns.spec,
-            "kind": ns.kind,
-            "matched": report.matched,
-            "shift": report.shift,
-            "compared": report.compared,
-        }
-        if report.first_mismatch is not None:
-            payload["first_mismatch"] = {
-                "index": report.first_mismatch.index,
-                "expected": report.first_mismatch.expected,
-                "got": report.first_mismatch.got,
-            }
-        print(json.dumps(payload))
+        # seq_id repeats ns.id; first_mismatch is the only field that can be None.
+        fields = {k: v for k, v in dataclasses.asdict(report).items()
+                  if k != "seq_id" and v is not None}
+        print(json.dumps({"command": "check-oeis", "id": ns.id, "spec": ns.spec,
+                          "kind": ns.kind, **fields}))
     else:
         if report.matched:
             print(f"{ns.id}: matched shift={report.shift} compared={report.compared}")
@@ -425,6 +394,13 @@ def _cmd_check_oeis(ns: argparse.Namespace) -> int:
 # parser assembly
 
 
+def _add_kind_flags(p: argparse.ArgumentParser, kinds: Iterable[str]) -> None:
+    """One mutually exclusive ``--KIND`` flag per kind, each storing it in ns.kind."""
+    group = p.add_mutually_exclusive_group()
+    for kind in kinds:
+        group.add_argument(f"--{kind}", dest="kind", action="store_const", const=kind)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gapseq",
@@ -437,41 +413,27 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--format", choices=("text", "json"), default="text")
     fmt_csv = argparse.ArgumentParser(add_help=False)
     fmt_csv.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    seq = argparse.ArgumentParser(add_help=False)
+    seq.add_argument("--spec", required=True)
+    seq.add_argument("--count", type=_nonneg, required=True)
 
-    p = sub.add_parser("terms", parents=[fmt_csv], help="sequence terms")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--count", type=_nonneg, required=True)
+    p = sub.add_parser("terms", parents=[fmt_csv, seq], help="sequence terms")
     p.add_argument("--from", dest="start", type=_nonneg, default=0)
     p.set_defaults(func=_cmd_terms)
 
-    p = sub.add_parser("gaps", parents=[fmt_csv], help="gap start/length/elements")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--count", type=_nonneg, required=True)
+    p = sub.add_parser("gaps", parents=[fmt_csv, seq], help="gap start/length/elements")
     p.set_defaults(func=_cmd_gaps)
 
-    p = sub.add_parser("gapsum", parents=[fmt_csv], help="gap-sum sequence")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--count", type=_nonneg, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--signed", action="store_true")
-    group.add_argument("--abs", action="store_true")
-    p.set_defaults(func=_cmd_gapsum)
+    p = sub.add_parser("gapsum", parents=[fmt_csv, seq], help="gap-sum sequence")
+    _add_kind_flags(p, list(_GAP_SUMS)[1:])
+    p.set_defaults(func=_cmd_gapsum, kind="clamped")
 
-    p = sub.add_parser("gapprod", parents=[fmt_csv], help="gap-product sequence")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--count", type=_nonneg, required=True)
+    p = sub.add_parser("gapprod", parents=[fmt_csv, seq], help="gap-product sequence")
     p.set_defaults(func=_cmd_gapprod)
 
     p = sub.add_parser("gf", parents=[fmt_csv], help="Horadam generating functions")
     p.add_argument("--horadam", type=_int_list(4), required=True, metavar="A,B,R,S")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--plain", dest="kind", action="store_const", const="plain")
-    group.add_argument("--shift", dest="kind", action="store_const", const="shift")
-    group.add_argument("--square", dest="kind", action="store_const", const="square")
-    group.add_argument(
-        "--square-shift", dest="kind", action="store_const", const="square-shift"
-    )
-    group.add_argument("--gapsum", dest="kind", action="store_const", const="gapsum")
+    _add_kind_flags(p, _GF_BUILDERS)
     p.add_argument("--expand", type=_nonneg, default=None, metavar="N")
     p.set_defaults(func=_cmd_gf, kind="plain")
 

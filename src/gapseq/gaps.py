@@ -23,7 +23,9 @@ class Gap:
     """The consecutive integers strictly between a_n and a_(n+1).
 
     ``start`` is a_n + 1 even when the gap is empty; ``length`` clamps
-    to 0 whenever the step a_(n+1) - a_n is at most 1.
+    to 0 whenever the step a_(n+1) - a_n is at most 1. The field order
+    is the key order of each gap in ``gapseq gaps --format json``,
+    between ``n`` and ``elements``.
     """
 
     start: int

@@ -54,7 +54,11 @@ class BFile:
 
 @dataclass(frozen=True)
 class Mismatch:
-    """One disagreement: b-file index, its value, and the computed value."""
+    """One disagreement: b-file index, its value, and the computed value.
+
+    The field order is the key order of ``first_mismatch`` in
+    ``gapseq check-oeis --format json``.
+    """
 
     index: int
     expected: int
@@ -63,7 +67,12 @@ class Mismatch:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of aligning computed values against a b-file."""
+    """Outcome of aligning computed values against a b-file.
+
+    Apart from ``seq_id``, the field order is the key order of
+    ``gapseq check-oeis --format json``, which omits an unset
+    ``first_mismatch``.
+    """
 
     seq_id: str
     matched: bool
@@ -75,16 +84,19 @@ class CheckReport:
 def parse_bfile(text: Union[str, bytes], seq_id: str = "") -> BFile:
     """Parse b-file text; ``#`` comments and blank lines are skipped.
 
-    Raises BFileError for bytes that are not UTF-8, and with the
-    offending line number for malformed lines and for index sequences
-    that jump or repeat. Values of any length parse exactly.
+    One leading byte-order mark is ignored. Raises BFileError for bytes
+    that are not UTF-8, and with the offending line number for malformed
+    lines and for index sequences that jump or repeat. Values of any
+    length parse exactly.
     """
     if isinstance(text, bytes):
+        # Plain utf-8, not utf-8-sig, so the error offset indexes the raw bytes.
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             lineno = text.count(b"\n", 0, exc.start) + 1
             raise BFileError(f"line {lineno}: byte {text[exc.start]:#04x} is not UTF-8") from None
+    text = text.removeprefix("\ufeff")
     entries: list[tuple[int, int]] = []
     with unlimited_int_digits():
         for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -66,23 +66,13 @@ class Polynomial:
         degree = len(coeffs) - 1
         while degree >= 0 and coeffs[degree] == 0:
             degree -= 1
-        values = [
-            sum((c * n**i for i, c in enumerate(coeffs)), start=Fraction(0))
-            for n in range(degree + 2)
-        ]
-        for n, v in enumerate(values):
+        # Newton basis: p(n) = sum_j d_j * C(n, j) with d_j the j-th forward
+        # difference at 0, j <= degree. p is integer-valued on the naturals iff
+        # every d_j is an integer, that is iff p(0), ..., p(degree) are.
+        for n in range(degree + 1):
+            v = sum((c * n**i for i, c in enumerate(coeffs)), start=Fraction(0))
             if v.denominator != 1:
                 raise SpecError(f"polynomial is not integer-valued: p({n}) = {v}")
-        # Newton basis: p(n) = sum_j d_j * C(n, j) with d_j the j-th forward
-        # difference at 0; p is integer-valued on the naturals iff every d_j
-        # is an integer.
-        row = values
-        for j in range(degree + 1):
-            if row[0].denominator != 1:
-                raise SpecError(
-                    f"polynomial is not integer-valued: binomial-basis coefficient {j} = {row[0]}"
-                )
-            row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
 
 
 @dataclass(frozen=True)

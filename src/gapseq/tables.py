@@ -22,11 +22,16 @@ from .genfun import Poly, RatFunc, horadam_gap_sum_gf, horadam_gf, ratfunc_to_te
 from .sequences import Binomial, Horadam, Linear, Polynomial, SeqSpec
 
 HALF = Fraction(1, 2)
+# Leading gap sums shown per row of the figurate and Horadam tables.
+SHOWN_SUMS = 8
 
 
 @dataclass(frozen=True)
 class RefTable:
-    """A rendered-ready table: title, column headers, string cells, footnotes."""
+    """A rendered-ready table: title, column headers, string cells, footnotes.
+
+    The field order is the key order of ``gapseq table --format json``.
+    """
 
     title: str
     headers: tuple[str, ...]
@@ -217,16 +222,16 @@ def _cell_notes(label: str, computed: list[int], published: tuple) -> list[str]:
     ]
 
 
-def figurate_table(count: int = 8) -> RefTable:
-    headers = ("a_n", "S_n", f"S_0 .. S_{count - 1}")
+def figurate_table() -> RefTable:
+    headers = ("a_n", "S_n", f"S_0 .. S_{SHOWN_SUMS - 1}")
     rows = []
     corrections = []
     for row in FIGURATE_ROWS:
-        sums = gap_sequence(gap_sum_between, row.spec, count)
+        sums = gap_sequence(gap_sum_between, row.spec, SHOWN_SUMS)
         rows.append((row.label, row.sum_label, " ".join(str(v) for v in sums)))
         if row.published_sum_formula is not None:
             n_bad = next(
-                n for n in range(count) if row.published_sum_formula(n) != sums[n]
+                n for n in range(SHOWN_SUMS) if row.published_sum_formula(n) != sums[n]
             )
             corrections.append(
                 f"row {row.label}: published closed form gives "
@@ -236,7 +241,8 @@ def figurate_table(count: int = 8) -> RefTable:
     return RefTable("figurate gap-sums", headers, tuple(rows), tuple(corrections))
 
 
-def fc_tables(count: int = 6) -> list[RefTable]:
+def fc_tables() -> list[RefTable]:
+    count = len(PUBLISHED_PRODUCTS_PLUS_1[0][2])
     header = ("a_n",) + tuple(f"n={n}" for n in range(count))
     prod_rows = []
     prod_corrections = []
@@ -271,7 +277,8 @@ def fc_tables(count: int = 6) -> list[RefTable]:
     ]
 
 
-def raney_tables(count: int = 6) -> list[RefTable]:
+def raney_tables() -> list[RefTable]:
+    count = len(PUBLISHED_PRODUCTS_PLUS_2[0][2])
     header = ("a_n",) + tuple(f"n={n}" for n in range(count))
     prod_rows = []
     prod_corrections = []
@@ -309,13 +316,13 @@ def raney_tables(count: int = 6) -> list[RefTable]:
     ]
 
 
-def horadam_table(count: int = 8) -> RefTable:
-    headers = ("sequence", "g.f.", "gap-sum g.f.", f"S_0 .. S_{count - 1}")
+def horadam_table() -> RefTable:
+    headers = ("sequence", "g.f.", "gap-sum g.f.", f"S_0 .. S_{SHOWN_SUMS - 1}")
     rows = []
     corrections = [HALF_FACTOR_NOTE]
     for spec, label, published_gf, published_terms in PUBLISHED_HORADAM_ROWS:
         built = horadam_gap_sum_gf(spec)
-        sums = gap_sequence(gap_sum_signed_between, spec, count)
+        sums = gap_sequence(gap_sum_signed_between, spec, SHOWN_SUMS)
         rows.append(
             (
                 label,

@@ -1,10 +1,16 @@
+import contextlib
 import json
 import math
+import os
+import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gapseq
 import gapseq.cli as cli
 import gapseq.oeis as oeis
 from gapseq.cli import SpecParseError, parse_spec, run
@@ -75,6 +81,21 @@ class TestParseSpec:
         with pytest.raises(SpecParseError):
             parse_spec("explicit:5")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("poly:1/2", "p(0) = 1/2"),
+            ("poly:0,1/3", "p(1) = 1/3"),
+            ("poly:1,3/2", "p(1) = 5/2"),
+        ],
+    )
+    def test_non_integer_valued_poly_names_first_bad_value(self, text, message):
+        with pytest.raises(SpecParseError) as err:
+            parse_spec(text)
+        assert str(err.value) == (
+            f"polynomial is not integer-valued: {message} (at position 5 in {text!r})"
+        )
+
     def test_wrong_arity(self):
         with pytest.raises(SpecParseError):
             parse_spec("linear:3")
@@ -116,9 +137,32 @@ class TestGapsCommand:
             elements = ",".join(str(e) for e in g.elements) or "-"
             assert line == f"{n} {g.start} {g.length} {elements}"
 
+    def test_text_gaps_longer_than_one_write(self, capsys):
+        out = run_ok(capsys, ["gaps", "--spec", "geom:2", "--count", "15"])
+        gaps = [gap(Geometric(2), n) for n in range(15)]
+        assert gaps[-1].length > 3 * cli._GAP_CHUNK
+        want = "".join(
+            f"{n} {g.start} {g.length} {','.join(map(str, g.elements)) or '-'}\n"
+            for n, g in enumerate(gaps)
+        )
+        assert out == want
+
     def test_empty_gap_marker(self, capsys):
         out = run_ok(capsys, ["gaps", "--spec", "linear:1,0", "--count", "1"])
         assert out.strip() == "0 1 0 -"
+
+    def test_text_memory_stays_flat(self):
+        # 2.3 MB of text; the last gap alone has 174761 elements.
+        argv = ["gaps", "--spec", "horadam:1,3,1,2", "--count", "18"]
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+            tracemalloc.start()
+            try:
+                rc = run(argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert rc == 0
+        assert peak < 2 * 2**20
 
     def test_json(self, capsys):
         doc = json.loads(
@@ -373,6 +417,17 @@ class TestCheckOeis:
         assert captured.err.startswith("gapseq: error: line 1:")
         assert "spec grammar" not in captured.err
 
+    @pytest.mark.parametrize("first_line", [b"# A000045\n", b""])
+    def test_bfile_with_byte_order_mark(self, tmp_path, capsys, first_line):
+        path = tmp_path / "b000045.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + first_line + b"0 0\n1 1\n2 1\n3 2\n4 3\n")
+        out = run_ok(
+            capsys,
+            ["check-oeis", "--spec", "fib", "--kind", "terms", "--id", "A000045",
+             "--bfile", str(path)],
+        )
+        assert out == "A000045: matched shift=0 compared=5\n"
+
     @pytest.mark.parametrize("content", [b"", b"# comments only\n\n"])
     def test_empty_bfile_is_a_bfile_error(self, tmp_path, capsys, content):
         path = tmp_path / "b000045.txt"
@@ -525,3 +580,36 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
+
+
+class TestEntryPoint:
+    """``python -m gapseq.cli`` goes through main(), which exits with run()'s code."""
+
+    @staticmethod
+    def _main(*argv):
+        src = Path(gapseq.__file__).resolve().parent.parent
+        return subprocess.run(
+            [sys.executable, "-m", "gapseq.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=60,
+        )
+
+    def test_exit_zero(self):
+        proc = self._main("terms", "--spec", "fib", "--count", "8")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 1 1 2 3 5 8 13\n", "")
+
+    def test_mismatch_exits_one(self):
+        proc = self._main(
+            "check-oeis", "--spec", "fib", "--kind", "gapprod", "--id", "A109454",
+            "--bfile", str(FIXTURES / "b109454.txt"),
+        )
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("A109454: MISMATCH at index 1:")
+
+    def test_bad_spec_exits_two_with_grammar(self):
+        proc = self._main("terms", "--spec", "linear:3;1", "--count", "5")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"gapseq: spec grammar: {cli._GRAMMAR}\n" in proc.stderr

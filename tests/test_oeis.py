@@ -97,6 +97,19 @@ class TestParse:
         with pytest.raises(BFileError, match=r"line 2: byte 0xe9 is not UTF-8"):
             parse_bfile(b"0 1\n# caf\xe9\n1 2\n")
 
+    @pytest.mark.parametrize("text", [
+        b"\xef\xbb\xbf# A000045\n0 0\n1 1\n",
+        b"\xef\xbb\xbf0 0\n1 1\n",
+        "\ufeff0 0\n1 1\n",
+    ])
+    def test_leading_byte_order_mark_is_ignored(self, text):
+        assert parse_bfile(text).entries == ((0, 0), (1, 1))
+
+    def test_non_utf8_byte_after_byte_order_mark(self):
+        # The offset counts the mark's three bytes, so it names the bad byte.
+        with pytest.raises(BFileError, match=r"line 2: byte 0xe9 is not UTF-8"):
+            parse_bfile(b"\xef\xbb\xbf0 1\n\xe9 2\n")
+
     def test_round_trip(self):
         text = "3 10\n4 20\n5 -30\n"
         assert render_bfile(parse_bfile(text)) == text
