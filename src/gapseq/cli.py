@@ -12,6 +12,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+# argparse imports these on its first use, in run(): shutil when build_parser
+# makes a help formatter, and locale (through gettext) for its first message.
+import locale  # noqa: F401
+import shutil  # noqa: F401
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +25,7 @@ from . import oeis, tables
 from ._intdigits import unlimited_int_digits
 from .combinatorics import fc_identity_sides, fuss_catalan, raney, raney_identity_sides
 from .gaps import (
+    Gap,
     gap_between,
     gap_product_between,
     gap_sequence,
@@ -217,27 +222,37 @@ def _cmd_terms(ns: argparse.Namespace) -> int:
     return 0
 
 
-# Elements per write in gaps' text output, so memory stays flat however long a gap is.
+# Elements per write in gaps' output, so memory stays flat however long a gap is.
 _GAP_CHUNK = 4096
 
 
 def _cmd_gaps(ns: argparse.Namespace) -> int:
     spec = parse_spec(ns.spec)
-    gaps = list(enumerate(gap_sequence(gap_between, spec, ns.count)))
+    gaps = enumerate(gap_sequence(gap_between, spec, ns.count))
+    write = sys.stdout.write
     if ns.format == "json":
-        rows = [{"n": n, **dataclasses.asdict(g), "elements": list(g.elements)} for n, g in gaps]
-        print(json.dumps({"command": "gaps", "spec": ns.spec, "gaps": rows}))
+        # The bytes of json.dumps of the whole document, written row by row.
+        write(json.dumps({"command": "gaps", "spec": ns.spec})[:-1] + ', "gaps": [')
+        for n, g in gaps:
+            row = json.dumps({"n": n, **dataclasses.asdict(g)})[:-1]
+            write((", " if n else "") + row + ', "elements": [')
+            _write_elements(write, g, ", ")
+            write("]}")
+        write("]}\n")
     elif ns.format == "csv":
-        print("n,start,length")
+        write("n,start,length\n")
         sys.stdout.writelines(f"{n},{g.start},{g.length}\n" for n, g in gaps)
     else:
-        write = sys.stdout.write
         for n, g in gaps:
             write(f"{n} {g.start} {g.length} " + ("" if g.length else "-"))
-            for i in range(0, g.length, _GAP_CHUNK):
-                write(("," if i else "") + ",".join(map(str, g.elements[i:i + _GAP_CHUNK])))
+            _write_elements(write, g, ",")
             write("\n")
     return 0
+
+
+def _write_elements(write: Callable[[str], object], g: Gap, sep: str) -> None:
+    for i in range(0, g.length, _GAP_CHUNK):
+        write((sep if i else "") + sep.join(map(str, g.elements[i:i + _GAP_CHUNK])))
 
 
 # gapsum kinds: the first is the default and has no flag.

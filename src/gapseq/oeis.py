@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -173,8 +170,10 @@ def default_cache_dir() -> Path:
 def fetch_bfile(seq_id: str, cache_dir: Union[str, Path, None] = None) -> BFile:
     """Cached b-file lookup; one HTTP GET on a cache miss.
 
-    Raw bytes land in ``cache_dir/b<digits>.txt`` through a temp file
-    and rename, so concurrent fetchers never observe partial files.
+    A download is parsed before it is cached, so a malformed one raises
+    BFileError and leaves the cache as it was. Raw bytes land in
+    ``cache_dir/b<digits>.txt`` through a temp file and rename, so
+    concurrent fetchers never observe partial files.
     """
     if not A_NUMBER.match(seq_id):
         raise BFileError(f"malformed A-number {seq_id!r} (expected 'A' + 6 digits)")
@@ -184,6 +183,10 @@ def fetch_bfile(seq_id: str, cache_dir: Union[str, Path, None] = None) -> BFile:
     if path.exists():
         return parse_bfile(path.read_bytes(), seq_id)
     raw = _http_get(_BFILE_URL.format(seq_id=seq_id, digits=digits))
+    bfile = parse_bfile(raw, seq_id)
+    # Imported here, like the network stack in _http_get: only a cache miss writes a file.
+    import tempfile
+
     directory.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=f"b{digits}.", suffix=".part")
     try:
@@ -196,10 +199,16 @@ def fetch_bfile(seq_id: str, cache_dir: Union[str, Path, None] = None) -> BFile:
         except OSError:
             pass
         raise
-    return parse_bfile(raw, seq_id)
+    return bfile
 
 
 def _http_get(url: str) -> bytes:
+    # Imported here, not at module level: urllib.request pulls in http.client,
+    # email and ssl, the largest part of gapseq's import time, and only a
+    # b-file download needs them.
+    import urllib.error
+    import urllib.request
+
     try:
         with urllib.request.urlopen(url, timeout=_HTTP_TIMEOUT) as response:
             return response.read()

@@ -151,9 +151,10 @@ class TestGapsCommand:
         out = run_ok(capsys, ["gaps", "--spec", "linear:1,0", "--count", "1"])
         assert out.strip() == "0 1 0 -"
 
-    def test_text_memory_stays_flat(self):
-        # 2.3 MB of text; the last gap alone has 174761 elements.
-        argv = ["gaps", "--spec", "horadam:1,3,1,2", "--count", "18"]
+    @staticmethod
+    def _peak_bytes(*fmt):
+        # 2.3 MB of text, 2.7 MB of json; the last gap alone has 174761 elements.
+        argv = ["gaps", "--spec", "horadam:1,3,1,2", "--count", "18", *fmt]
         with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
             tracemalloc.start()
             try:
@@ -162,7 +163,26 @@ class TestGapsCommand:
             finally:
                 tracemalloc.stop()
         assert rc == 0
-        assert peak < 2 * 2**20
+        return peak
+
+    def test_text_memory_stays_flat(self):
+        assert self._peak_bytes() < 2 * 2**20
+
+    def test_json_memory_stays_flat(self):
+        assert self._peak_bytes("--format", "json") < 2 * 2**20
+
+    @pytest.mark.parametrize(
+        "spec, count",
+        [("geom:2", 15), ("linear:1,0", 3), ("explicit:9,4,4,7", 3), ("fib", 0), ("fib", 1)],
+    )
+    def test_json_bytes_match_one_dumps(self, capsys, spec, count):
+        out = run_ok(capsys, ["gaps", "--spec", spec, "--count", str(count), "--format", "json"])
+        gaps = [gap(parse_spec(spec), n) for n in range(count)]
+        rows = [
+            {"n": n, "start": g.start, "length": g.length, "elements": list(g.elements)}
+            for n, g in enumerate(gaps)
+        ]
+        assert out == json.dumps({"command": "gaps", "spec": spec, "gaps": rows}) + "\n"
 
     def test_json(self, capsys):
         doc = json.loads(
@@ -613,3 +633,82 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert f"gapseq: spec grammar: {cli._GRAMMAR}\n" in proc.stderr
+
+
+class TestColdStart:
+    """What importing the CLI loads, each case in a fresh interpreter.
+
+    ``-S`` keeps site hooks out, so the interpreter starts with the
+    bare minimum and every other module it holds was imported by gapseq.
+    """
+
+    NETWORK = ("urllib.request", "http.client", "ssl", "email")
+
+    @staticmethod
+    def _python(script):
+        src = Path(gapseq.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_import_loads_no_network_stack(self):
+        loaded = self._python(
+            "import sys\n"
+            "import gapseq\n"
+            "pkg = sorted(sys.modules)\n"
+            "import gapseq.cli\n"
+            "import json\n"
+            "print(json.dumps([pkg, sorted(sys.modules)]))\n"
+        )
+        for modules in loaded:
+            assert not set(self.NETWORK) & set(modules)
+
+    def test_subcommands_import_nothing(self):
+        bfile = str(FIXTURES / "b054265.txt")
+        cases = [
+            ["terms", "--spec", "fib", "--count", "8"],
+            ["terms", "--spec", "primes", "--count", "8", "--format", "csv"],
+            ["gaps", "--spec", "horadam:1,3,1,2", "--count", "6"],
+            ["gaps", "--spec", "fib", "--count", "6", "--format", "json"],
+            ["gapsum", "--spec", "fold", "--count", "6", "--signed"],
+            ["gapprod", "--spec", "linear:3,1", "--count", "6", "--format", "json"],
+            ["gf", "--horadam", "1,1,1,1", "--gapsum", "--expand", "6"],
+            ["gf", "--horadam", "2,1,1,1", "--format", "json"],
+            ["expand", "--num", "1/2,1", "--den", "1,-1/3", "--count", "6"],
+            ["fc", "--p", "3", "--m", "4", "--format", "json"],
+            ["raney", "--p", "3", "--r", "2", "--n", "4"],
+            ["check-identity", "--fc", "3,4"],
+            ["check-identity", "--raney", "3,2,4", "--format", "json"],
+            ["table", "figurate"],
+            ["table", "fc"],
+            ["table", "raney", "--format", "json"],
+            ["table", "horadam"],
+            ["check-oeis", "--spec", "primes", "--kind", "gapsum", "--id", "A054265",
+             "--bfile", bfile],
+            ["check-oeis", "--spec", "fib", "--kind", "gapprod", "--id", "A054265",
+             "--bfile", bfile, "--format", "json"],
+            ["terms", "--spec", "linear:3;1", "--count", "5"],
+            ["terms", "--spec", "fib"],
+            ["--help"],
+        ]
+        added = self._python(
+            "import io, json, sys\n"
+            "import gapseq.cli\n"
+            "added = []\n"
+            f"for argv in {cases!r}:\n"
+            "    before = set(sys.modules)\n"
+            "    sys.stdout = sys.stderr = io.StringIO()\n"
+            "    gapseq.cli.run(argv)\n"
+            "    sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__\n"
+            "    added.append(sorted(set(sys.modules) - before))\n"
+            "print(json.dumps(added))\n"
+        )
+        *commands, help_ = zip(cases, added)
+        assert [(argv, new) for argv, new in commands if new] == []
+        assert set(help_[1]) <= {"textwrap"}

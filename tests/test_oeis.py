@@ -1,6 +1,7 @@
 import sys
 import threading
 import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -242,11 +243,21 @@ class TestFetch:
         assert again == bf
         assert not list(tmp_path.glob("*.part"))
 
+    def test_malformed_download_is_not_cached(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oeis, "_http_get", lambda url: b"0 0\n1 4\n2 x\n")
+        with pytest.raises(BFileError, match="line 3"):
+            fetch_bfile("A054265", tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        raw = load_fixture("b054265.txt")
+        monkeypatch.setattr(oeis, "_http_get", lambda url: raw)
+        assert fetch_bfile("A054265", tmp_path).values[:4] == [0, 4, 6, 27]
+        assert (tmp_path / "b054265.txt").read_bytes() == raw
+
     def test_network_unavailable(self, tmp_path, monkeypatch):
         def down(url):
             raise urllib.error.URLError("no route to host")
 
-        monkeypatch.setattr(oeis.urllib.request, "urlopen", lambda *a, **k: down(a[0]))
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **k: down(a[0]))
         with pytest.raises(FetchError, match="network unavailable"):
             fetch_bfile("A109454", tmp_path)
 
@@ -254,7 +265,7 @@ class TestFetch:
         def gone(url, timeout):
             raise urllib.error.HTTPError(url, 404, "not found", None, None)
 
-        monkeypatch.setattr(oeis.urllib.request, "urlopen", gone)
+        monkeypatch.setattr(urllib.request, "urlopen", gone)
         with pytest.raises(FetchError, match="HTTP 404"):
             fetch_bfile("A109454", tmp_path)
 
