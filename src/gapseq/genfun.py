@@ -54,21 +54,6 @@ class Poly:
     def coefficient(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
-    def __add__(self, other: Poly) -> Poly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(tuple(out))
-
-    def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
-
     def __mul__(self, other: Poly) -> Poly:
         if not self or not other:
             return Poly()
@@ -78,23 +63,9 @@ class Poly:
                 out[i + j] += a * b
         return Poly(tuple(out))
 
-    def __pow__(self, exponent: int) -> Poly:
-        if exponent < 0:
-            raise ValueError(f"polynomial power must be >= 0, got {exponent}")
-        out = Poly((1,))
-        for _ in range(exponent):
-            out = out * self
-        return out
-
     def scale(self, factor: Coeff) -> Poly:
         f = Fraction(factor)
         return Poly(tuple(c * f for c in self.coeffs))
-
-    def __call__(self, x: Coeff) -> Fraction:
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -163,15 +134,6 @@ class RatFunc:
                 den = den.scale(1 / c)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __add__(self, other: RatFunc) -> RatFunc:
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: RatFunc) -> RatFunc:
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other: RatFunc) -> RatFunc:
-        return RatFunc(self.num * other.num, self.den * other.den)
 
     def expand(self, count: int) -> list[Fraction]:
         """First ``count`` power-series coefficients at the origin.

@@ -9,6 +9,7 @@ agree on where index 0 sits.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 from dataclasses import dataclass
@@ -171,7 +172,9 @@ def fetch_bfile(seq_id: str, cache_dir: Union[str, Path, None] = None) -> BFile:
     """Cached b-file lookup; one HTTP GET on a cache miss.
 
     A download is parsed before it is cached, so a malformed one raises
-    BFileError and leaves the cache as it was. Raw bytes land in
+    BFileError and leaves the cache as it was. A cached file that does not
+    parse is renamed to ``b<digits>.txt.bad``, replacing an older one, and
+    the b-file is fetched once more. Raw bytes land in
     ``cache_dir/b<digits>.txt`` through a temp file and rename, so
     concurrent fetchers never observe partial files.
     """
@@ -180,8 +183,12 @@ def fetch_bfile(seq_id: str, cache_dir: Union[str, Path, None] = None) -> BFile:
     directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     digits = seq_id[1:]
     path = directory / f"b{digits}.txt"
-    if path.exists():
-        return parse_bfile(path.read_bytes(), seq_id)
+    # No file is a cache miss; a concurrent fetcher may also have set a bad one aside.
+    with contextlib.suppress(FileNotFoundError):
+        try:
+            return parse_bfile(path.read_bytes(), seq_id)
+        except BFileError:
+            os.replace(path, path.with_name(path.name + ".bad"))
     raw = _http_get(_BFILE_URL.format(seq_id=seq_id, digits=digits))
     bfile = parse_bfile(raw, seq_id)
     # Imported here, like the network stack in _http_get: only a cache miss writes a file.

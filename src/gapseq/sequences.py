@@ -110,10 +110,6 @@ class Horadam:
         if self.shift < 0:
             raise SpecError(f"horadam shift must be >= 0, got {self.shift}")
 
-    def seeds_at_shift(self) -> tuple[int, int]:
-        """Seed pair of the shift-0 sequence identical to this one."""
-        return _horadam_pair(self, self.shift)
-
 
 @dataclass(frozen=True)
 class Primes:

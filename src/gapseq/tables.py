@@ -1,12 +1,12 @@
 """Published reference tables, recomputed from scratch.
 
 Four table families circulate for these sequences: the figurate-number
-gap-sums with their closed forms and generating functions, the
-gap-product and Fuss-Catalan arrays for a_n = k*n + 1, the a_n = k*n + 2
-product array with its Raney-number companion, and the Horadam gap-sum
-generating functions. The builders here recompute every cell with this
-package's own arithmetic and attach a correction footnote wherever the
-published value disagrees; the recomputed value is what the table shows.
+gap-sums with their closed forms, the gap-product and Fuss-Catalan arrays
+for a_n = k*n + 1, the a_n = k*n + 2 product array with its Raney-number
+companion, and the Horadam gap-sum generating functions. The builders
+here recompute every cell with this package's own arithmetic and attach a
+correction footnote wherever the published value disagrees; the
+recomputed value is what the table shows.
 """
 
 from __future__ import annotations
@@ -41,81 +41,26 @@ class RefTable:
 
 @dataclass(frozen=True)
 class FigurateRow:
-    """One figurate family: spec, its gf, and the published gap-sum data."""
+    """One figurate family: spec, its printed gap-sum closed form, and the
+    published closed form where that one is wrong."""
 
     label: str
     spec: SeqSpec
-    seq_gf: RatFunc
     sum_label: str
-    sum_formula: Callable[[int], int]
-    sum_gf: RatFunc
     published_sum_formula: Optional[Callable[[int], int]] = None
 
 
-def _one_minus_x_pow(m: int) -> Poly:
-    return Poly((1, -1)) ** m
-
-
 FIGURATE_ROWS: tuple[FigurateRow, ...] = (
+    FigurateRow("n^2", Polynomial((0, 0, 1)), "2n^3 + 2n^2 + n"),
+    FigurateRow("n(n+1)/2", Polynomial((0, HALF, HALF)), "n(n+1)^2/2"),
+    FigurateRow("n(n+1)", Polynomial((0, 1, 1)), "(2n+1)(n+1)^2"),
+    FigurateRow("n(3n+1)/2", Polynomial((0, HALF, 3 * HALF)), "(3n+1)(3n^2+4n+2)/2"),
+    FigurateRow("C(n+2,3)", Binomial(2, 3), "n(n+1)(n+2)(n+3)(2n+3)/24"),
+    FigurateRow("C(n+3,4)", Binomial(3, 4), "n(n+1)(n+2)^2(n+3)(n^2+6n+11)/144"),
     FigurateRow(
-        label="n^2",
-        spec=Polynomial((0, 0, 1)),
-        seq_gf=RatFunc(Poly((0, 1, 1)), _one_minus_x_pow(3)),
-        sum_label="2n^3 + 2n^2 + n",
-        sum_formula=lambda n: 2 * n**3 + 2 * n * n + n,
-        sum_gf=RatFunc(Poly((0, 5, 6, 1)), _one_minus_x_pow(4)),
-    ),
-    FigurateRow(
-        label="n(n+1)/2",
-        spec=Polynomial((0, HALF, HALF)),
-        seq_gf=RatFunc(Poly((0, 1)), _one_minus_x_pow(3)),
-        sum_label="n(n+1)^2/2",
-        sum_formula=lambda n: as_integer(Fraction(n * (n + 1) ** 2, 2)),
-        sum_gf=RatFunc(Poly((0, 2, 1)), _one_minus_x_pow(4)),
-    ),
-    FigurateRow(
-        label="n(n+1)",
-        spec=Polynomial((0, 1, 1)),
-        seq_gf=RatFunc(Poly((0, 2)), _one_minus_x_pow(3)),
-        sum_label="(2n+1)(n+1)^2",
-        sum_formula=lambda n: (2 * n + 1) * (n + 1) ** 2,
-        sum_gf=RatFunc(Poly((1, 8, 3)), _one_minus_x_pow(4)),
-    ),
-    FigurateRow(
-        label="n(3n+1)/2",
-        spec=Polynomial((0, HALF, 3 * HALF)),
-        seq_gf=RatFunc(Poly((0, 2, 1)), _one_minus_x_pow(3)),
-        sum_label="(3n+1)(3n^2+4n+2)/2",
-        sum_formula=lambda n: as_integer(Fraction((3 * n + 1) * (3 * n * n + 4 * n + 2), 2)),
-        sum_gf=RatFunc(Poly((1, 14, 11, 1)), _one_minus_x_pow(4)),
-    ),
-    FigurateRow(
-        label="C(n+2,3)",
-        spec=Binomial(2, 3),
-        seq_gf=RatFunc(Poly((0, 1)), _one_minus_x_pow(4)),
-        sum_label="n(n+1)(n+2)(n+3)(2n+3)/24",
-        sum_formula=lambda n: as_integer(
-            Fraction(n * (n + 1) * (n + 2) * (n + 3) * (2 * n + 3), 24)
-        ),
-        sum_gf=RatFunc(Poly((0, 5, 5)), _one_minus_x_pow(6)),
-    ),
-    FigurateRow(
-        label="C(n+3,4)",
-        spec=Binomial(3, 4),
-        seq_gf=RatFunc(Poly((0, 1)), _one_minus_x_pow(5)),
-        sum_label="n(n+1)(n+2)^2(n+3)(n^2+6n+11)/144",
-        sum_formula=lambda n: as_integer(
-            Fraction(n * (n + 1) * (n + 2) ** 2 * (n + 3) * (n * n + 6 * n + 11), 144)
-        ),
-        sum_gf=RatFunc(Poly((0, 9, 18, 7, 1)), _one_minus_x_pow(8)),
-    ),
-    FigurateRow(
-        label="n(3n-1)/2",
-        spec=Polynomial((0, -HALF, 3 * HALF)),
-        seq_gf=RatFunc(Poly((0, 1, 2)), _one_minus_x_pow(3)),
-        sum_label="3n(3n^2+2n+1)/2",
-        sum_formula=lambda n: as_integer(Fraction(3 * n * (3 * n * n + 2 * n + 1), 2)),
-        sum_gf=RatFunc(Poly((0, 9, 15, 3)), _one_minus_x_pow(4)),
+        "n(3n-1)/2",
+        Polynomial((0, -HALF, 3 * HALF)),
+        "3n(3n^2+2n+1)/2",
         # The published closed form divides by 3 instead of 2.
         published_sum_formula=lambda n: n * (3 * n * n + 2 * n + 1),
     ),
@@ -161,6 +106,9 @@ PUBLISHED_RANEY_ARRAY: tuple[tuple[str, int, tuple[int, ...]], ...] = (
     ("k=4", 4, (5, 42, 143, 340, 665, 1150)),
     ("k=5", 5, (6, 136, 728, 2394, 5980, 12586)),
 )
+
+# Columns n = 0..5 of the four arrays above.
+ARRAY_WIDTH = len(PUBLISHED_PRODUCTS_PLUS_1[0][2])
 
 # Horadam rows: spec, label, published gap-sum gf (factored), published
 # leading gap-sum terms. The (1,3,1,2) instance circulates without a
@@ -212,14 +160,19 @@ HALF_FACTOR_NOTE = (
     "factor 1/2; the published expansions include it, so the builder applies it"
 )
 
+FOUR_N_PLUS_1_NOTE = (
+    "row 4n+1: the published row omits the n=3 value 3360 and lists the "
+    "n=4..6 values one column early"
+)
 
-def _cell_notes(label: str, computed: list[int], published: tuple) -> list[str]:
-    """One correction per cell where the published value differs."""
-    return [
-        f"row {label}, n={n}: published {theirs}, recomputed {ours}"
-        for n, (ours, theirs) in enumerate(zip(computed, published))
-        if ours != theirs
-    ]
+# Replaces the kn+2 table's k=0 cell notes: its whole published row prints
+# the factorial-ratio value 1/2.
+ROW_2_NOTE = (
+    "row 2: published 1/2 throughout, from the factorial-ratio form "
+    "(a_(n+1)-1)!/a_n!; the empty gap's product is 1"
+)
+
+LABEL_5N_PLUS_1_NOTE = 'row labeled "5n+1": values are those of 5n+2'
 
 
 def figurate_table() -> RefTable:
@@ -241,77 +194,69 @@ def figurate_table() -> RefTable:
     return RefTable("figurate gap-sums", headers, tuple(rows), tuple(corrections))
 
 
-def fc_tables() -> list[RefTable]:
-    count = len(PUBLISHED_PRODUCTS_PLUS_1[0][2])
-    header = ("a_n",) + tuple(f"n={n}" for n in range(count))
-    prod_rows = []
-    prod_corrections = []
-    products = {}
-    for label, k, published in PUBLISHED_PRODUCTS_PLUS_1:
-        computed = products[k] = gap_sequence(gap_product_between, Linear(k, 1), count)
-        prod_rows.append((label, *map(str, computed)))
-        prod_corrections += _cell_notes(label, computed, published)
-    if any(c.startswith("row 4n+1") for c in prod_corrections):
-        prod_corrections.append(
-            "row 4n+1: the published row omits the n=3 value 3360 and lists the "
-            "n=4..6 values one column early"
-        )
-    prod_corrections.append(FC_ORIENTATION_NOTE)
+def _array_table(
+    title: str,
+    published: tuple[tuple[str, int, tuple], ...],
+    compute: Callable[[int], list[int]],
+    notes: tuple[str, ...] = (),
+    row_notes: Optional[dict[int, str]] = None,
+) -> RefTable:
+    """A published array recomputed row by row, ``compute(k)`` giving row k.
 
-    fc_rows = []
-    fc_corrections = []
-    for label, k, published in PUBLISHED_FUSS_CATALAN:
-        computed = [as_integer(Fraction(p, factorial(k))) for p in products[k]]
-        fc_rows.append((label, *map(str, computed)))
-        fc_corrections += _cell_notes(label, computed, published)
+    Each cell where the published value differs gets a correction, unless
+    ``row_notes`` gives row k one note instead; the fixed ``notes`` follow.
+    """
+    header = ("a_n",) + tuple(f"n={n}" for n in range(ARRAY_WIDTH))
+    rows = []
+    corrections = []
+    for label, k, cells in published:
+        computed = compute(k)
+        rows.append((label, *map(str, computed)))
+        if row_notes and k in row_notes:
+            corrections.append(row_notes[k])
+            continue
+        corrections += [
+            f"row {label}, n={n}: published {theirs}, recomputed {ours}"
+            for n, (ours, theirs) in enumerate(zip(computed, cells))
+            if ours != theirs
+        ]
+    return RefTable(title, header, tuple(rows), tuple(corrections) + notes)
+
+
+def fc_tables() -> list[RefTable]:
+    products = {
+        k: gap_sequence(gap_product_between, Linear(k, 1), ARRAY_WIDTH)
+        for _, k, _ in PUBLISHED_PRODUCTS_PLUS_1
+    }
     return [
-        RefTable(
-            "gap products of kn+1", header, tuple(prod_rows), tuple(prod_corrections)
+        _array_table(
+            "gap products of kn+1",
+            PUBLISHED_PRODUCTS_PLUS_1,
+            products.__getitem__,
+            (FOUR_N_PLUS_1_NOTE, FC_ORIENTATION_NOTE),
         ),
-        RefTable(
+        _array_table(
             "Fuss-Catalan numbers fc(n,k) = products / k!",
-            header,
-            tuple(fc_rows),
-            tuple(fc_corrections),
+            PUBLISHED_FUSS_CATALAN,
+            lambda k: [as_integer(Fraction(p, factorial(k))) for p in products[k]],
         ),
     ]
 
 
 def raney_tables() -> list[RefTable]:
-    count = len(PUBLISHED_PRODUCTS_PLUS_2[0][2])
-    header = ("a_n",) + tuple(f"n={n}" for n in range(count))
-    prod_rows = []
-    prod_corrections = []
-    for label, k, published in PUBLISHED_PRODUCTS_PLUS_2:
-        computed = gap_sequence(gap_product_between, Linear(k, 2), count)
-        prod_rows.append((label, *map(str, computed)))
-        if k == 0:
-            # The whole published row prints the factorial-ratio value 1/2;
-            # one footnote instead of a diff per cell.
-            prod_corrections.append(
-                "row 2: published 1/2 throughout, from the factorial-ratio form "
-                "(a_(n+1)-1)!/a_n!; the empty gap's product is 1"
-            )
-        else:
-            prod_corrections += _cell_notes(label, computed, published)
-    prod_corrections.append('row labeled "5n+1": values are those of 5n+2')
-
-    raney_rows = []
-    raney_corrections = []
-    for label, k, published in PUBLISHED_RANEY_ARRAY:
-        computed = [as_integer(raney(n + 1, 2, k)) for n in range(count)]
-        raney_rows.append((label, *map(str, computed)))
-        raney_corrections += _cell_notes(label, computed, published)
-    raney_corrections.append(FC_ORIENTATION_NOTE)
     return [
-        RefTable(
-            "gap products of kn+2", header, tuple(prod_rows), tuple(prod_corrections)
+        _array_table(
+            "gap products of kn+2",
+            PUBLISHED_PRODUCTS_PLUS_2,
+            lambda k: gap_sequence(gap_product_between, Linear(k, 2), ARRAY_WIDTH),
+            (LABEL_5N_PLUS_1_NOTE,),
+            {0: ROW_2_NOTE},
         ),
-        RefTable(
+        _array_table(
             "Raney numbers raney(n+1,2,k) = 2 * products / k!",
-            header,
-            tuple(raney_rows),
-            tuple(raney_corrections),
+            PUBLISHED_RANEY_ARRAY,
+            lambda k: [as_integer(raney(n + 1, 2, k)) for n in range(ARRAY_WIDTH)],
+            (FC_ORIENTATION_NOTE,),
         ),
     ]
 

@@ -215,10 +215,6 @@ class TestHoradamJump:
     def test_random_index(self, spec, n):
         assert term(spec, n) == _horadam_loop(spec, n + 1)[n]
 
-    def test_seeds_at_shift(self):
-        spec = Horadam(3, 4, 2, -5, 9)
-        assert spec.seeds_at_shift() == tuple(_horadam_loop(Horadam(3, 4, 2, -5), 11)[9:])
-
     def test_far_fibonacci_identity(self):
         # F(2n) = F(n) * (2 F(n+1) - F(n)), checked far beyond the loop range
         fib = Horadam(0, 1, 1, 1)

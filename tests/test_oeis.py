@@ -253,6 +253,45 @@ class TestFetch:
         assert fetch_bfile("A054265", tmp_path).values[:4] == [0, 4, 6, 27]
         assert (tmp_path / "b054265.txt").read_bytes() == raw
 
+    def test_bad_cached_file_is_set_aside_and_refetched(self, tmp_path, monkeypatch):
+        bad = b"0 1\n1 x\n"
+        (tmp_path / "b054265.txt").write_bytes(bad)
+        (tmp_path / "b054265.txt.bad").write_bytes(b"older\n")
+        raw = load_fixture("b054265.txt")
+        calls = []
+
+        def fake_get(url):
+            calls.append(url)
+            return raw
+
+        monkeypatch.setattr(oeis, "_http_get", fake_get)
+        assert fetch_bfile("A054265", tmp_path).values[:4] == [0, 4, 6, 27]
+        assert calls == ["https://oeis.org/A054265/b054265.txt"]
+        assert (tmp_path / "b054265.txt").read_bytes() == raw
+        assert (tmp_path / "b054265.txt.bad").read_bytes() == bad
+
+    def test_bad_cached_file_set_aside_by_another_fetcher(self, tmp_path, monkeypatch):
+        path = tmp_path / "b054265.txt"
+        path.write_bytes(b"0 1\n1 x\n")
+        real_parse = oeis.parse_bfile
+
+        def parse_after_the_other_fetcher(raw, seq_id):
+            if path.exists() and path.read_bytes() == raw:
+                path.rename(tmp_path / "b054265.txt.bad")
+            return real_parse(raw, seq_id)
+
+        monkeypatch.setattr(oeis, "parse_bfile", parse_after_the_other_fetcher)
+        monkeypatch.setattr(oeis, "_http_get", lambda url: load_fixture("b054265.txt"))
+        assert fetch_bfile("A054265", tmp_path).values[:4] == [0, 4, 6, 27]
+        assert (tmp_path / "b054265.txt.bad").read_bytes() == b"0 1\n1 x\n"
+
+    def test_bad_cached_file_then_malformed_download(self, tmp_path, monkeypatch):
+        (tmp_path / "b054265.txt").write_bytes(b"\xe9\n")
+        monkeypatch.setattr(oeis, "_http_get", lambda url: b"0 0\n1 4\n2 x\n")
+        with pytest.raises(BFileError, match="line 3"):
+            fetch_bfile("A054265", tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b054265.txt.bad"]
+
     def test_network_unavailable(self, tmp_path, monkeypatch):
         def down(url):
             raise urllib.error.URLError("no route to host")

@@ -1,16 +1,28 @@
+from math import comb
+
 from gapseq import tables
-from gapseq.gaps import gap_sum, gap_sum_signed
-from gapseq.genfun import horadam_gap_sum_gf
-from gapseq.sequences import terms
+from gapseq.gaps import gap_sequence, gap_sum_between, gap_sum_signed
+from gapseq.genfun import horadam_gap_sum_gf, ratfunc_from_terms
+from gapseq.sequences import Binomial, terms
+
+
+def _one_minus_x_pow(m):
+    return [(-1) ** i * comb(m, i) for i in range(m + 1)]
 
 
 class TestFigurate:
     def test_rows_internally_consistent(self):
+        # 24 terms recover each g.f.; the expansion then predicts 80 terms.
         for row in tables.FIGURATE_ROWS:
-            sums = [gap_sum(row.spec, n) for n in range(30)]
-            assert row.seq_gf.expand(30) == terms(row.spec, 0, 30), row.label
-            assert [row.sum_formula(n) for n in range(30)] == sums, row.label
-            assert row.sum_gf.expand(30) == sums, row.label
+            spec = row.spec
+            degree = spec.lower if isinstance(spec, Binomial) else len(spec.coeffs) - 1
+            for values, den_power in (
+                (terms(spec, 0, 80), degree + 1),
+                (gap_sequence(gap_sum_between, spec, 80), 2 * degree),
+            ):
+                f = ratfunc_from_terms(values[:24])
+                assert [int(c) for c in f.den.coeffs] == _one_minus_x_pow(den_power), row.label
+                assert f.expand(80) == values, row.label
 
     def test_pentagonal_is_the_only_correction(self):
         flagged = [r.label for r in tables.FIGURATE_ROWS if r.published_sum_formula]
@@ -26,16 +38,15 @@ class TestFigurate:
 
 class TestFcTables:
     def test_product_cells_match_published_except_4n1_tail(self):
-        products, fc = tables.fc_tables()
-        diffs = [c for c in products.corrections if "recomputed" in c]
-        assert [d.split(":")[0] for d in diffs] == [
-            "row 4n+1, n=3",
-            "row 4n+1, n=4",
-            "row 4n+1, n=5",
-        ]
-        assert "published 6840, recomputed 3360" in diffs[0]
-        assert any("omits the n=3 value 3360" in c for c in products.corrections)
-        assert tables.FC_ORIENTATION_NOTE in products.corrections
+        products, _ = tables.fc_tables()
+        assert products.corrections == (
+            "row 4n+1, n=3: published 6840, recomputed 3360",
+            "row 4n+1, n=4: published 12144, recomputed 6840",
+            "row 4n+1, n=5: published 19656, recomputed 12144",
+            "row 4n+1: the published row omits the n=3 value 3360 and lists the "
+            "n=4..6 values one column early",
+            tables.FC_ORIENTATION_NOTE,
+        )
 
     def test_fc_cells_all_match(self):
         _, fc = tables.fc_tables()
@@ -44,16 +55,20 @@ class TestFcTables:
 
 class TestRaneyTables:
     def test_product_corrections(self):
-        products, raney_array = tables.raney_tables()
-        assert any("published 1/2 throughout" in c for c in products.corrections)
-        assert any('labeled "5n+1"' in c for c in products.corrections)
+        products, _ = tables.raney_tables()
         # every k >= 1 published product cell is reproduced
-        assert not any(c.startswith("row ") and "recomputed" in c for c in products.corrections)
+        assert products.corrections == (
+            "row 2: published 1/2 throughout, from the factorial-ratio form "
+            "(a_(n+1)-1)!/a_n!; the empty gap's product is 1",
+            'row labeled "5n+1": values are those of 5n+2',
+        )
 
     def test_raney_array_single_cell_correction(self):
         _, raney_array = tables.raney_tables()
-        diffs = [c for c in raney_array.corrections if "recomputed" in c]
-        assert diffs == ["row k=5, n=1: published 136, recomputed 132"]
+        assert raney_array.corrections == (
+            "row k=5, n=1: published 136, recomputed 132",
+            tables.FC_ORIENTATION_NOTE,
+        )
 
 
 class TestHoradamTable:
