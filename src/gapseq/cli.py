@@ -5,6 +5,12 @@ generating functions, raw rational-function expansion, Fuss-Catalan and
 Raney numbers, identity checks, reference-table reproduction, and OEIS
 b-file cross-checks. Exit codes: 0 success or match, 1 mismatch or
 failed check, 2 usage error.
+
+``terms``, ``gapsum``, ``gf --expand`` and ``expand`` print values from
+exact Decimal runs (``decimal_terms``, ``decimal_gap_sequence``,
+``decimal_expansion``): their values grow exponentially, and ``str`` of
+a Decimal is linear where an int's is quadratic. Indexed output goes out
+in writes of about 64 KiB, so no output is held whole.
 """
 
 from __future__ import annotations
@@ -17,15 +23,17 @@ import json
 import locale  # noqa: F401
 import shutil  # noqa: F401
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import oeis, tables
 from ._intdigits import unlimited_int_digits
 from .combinatorics import fc_identity_sides, fuss_catalan, raney, raney_identity_sides
 from .gaps import (
-    Gap,
+    decimal_gap_sequence,
     gap_between,
     gap_product_between,
     gap_sequence,
@@ -36,6 +44,7 @@ from .gaps import (
 from .genfun import (
     Poly,
     RatFunc,
+    decimal_expansion,
     horadam_gap_sum_gf,
     horadam_gf,
     horadam_shift_gf,
@@ -58,6 +67,7 @@ from .sequences import (
     Primes,
     SeqSpec,
     SpecError,
+    decimal_terms,
     terms,
 )
 
@@ -187,26 +197,57 @@ def _a_number(text: str) -> str:
 # output helpers
 
 
-def _json_value(v: Union[int, Fraction]) -> Union[int, str]:
+# Text per write: big enough that writing costs little per value, small
+# enough that no output is ever held whole.
+_WRITE_CHARS = 1 << 16
+
+
+def _write_joined(pieces: Iterator[str], sep: str) -> None:
+    """Write sep.join(pieces) to stdout in writes of about _WRITE_CHARS.
+
+    Each batch holds as many pieces as the last one's text says fit, at
+    most twice as many, since pieces grow (a run of terms); no piece is
+    empty, so an empty batch means the pieces are used up.
+    """
+    write = sys.stdout.write
+    batch, lead = 64, ""
+    while text := sep.join(islice(pieces, batch)):
+        write(lead + text)
+        batch, lead = max(1, min(2 * batch, batch * _WRITE_CHARS // len(text))), sep
+
+
+def _write_json(head: dict, key: str, pieces: Iterator[str], tail: str = "") -> None:
+    """The bytes of json.dumps(head + {key: [...]}) + tail, then a newline,
+    for a list already rendered to json pieces. It is written in chunks,
+    and json.dumps could not render the Decimals the list may hold."""
+    sys.stdout.write(json.dumps({**head, key: []})[:-2])
+    _write_joined(pieces, ", ")
+    sys.stdout.write("]" + tail + "}\n")
+
+
+def _json_piece(v: Union[int, Decimal, Fraction]) -> str:
+    """A value as json.dumps writes it: ints and Decimals as digits, whole
+    Fractions as their numerator, the rest as a string like "1/3"."""
     if isinstance(v, Fraction):
-        return v.numerator if v.denominator == 1 else str(v)
-    return v
+        return str(v.numerator) if v.denominator == 1 else f'"{v}"'
+    return str(v)
 
 
 def _emit_indexed(ns: argparse.Namespace, payload: dict, values: Sequence, n0: int = 0) -> None:
     if ns.format == "json":
-        payload = dict(payload, values=[_json_value(v) for v in values], start=n0)
-        print(json.dumps(payload))
+        _write_json(payload, "values", map(_json_piece, values), f', "start": {n0}')
     elif ns.format == "csv":
-        print("n,value")
-        sys.stdout.writelines(f"{n},{v}\n" for n, v in enumerate(values, n0))
+        sys.stdout.write("n,value\n")
+        _write_joined((f"{n},{v}" for n, v in enumerate(values, n0)), "\n")
+        sys.stdout.write("\n" if values else "")
     else:
-        print(" ".join(str(v) for v in values))
+        _write_joined(map(str, values), " ")
+        sys.stdout.write("\n")
 
 
 def _emit_scalar(ns: argparse.Namespace, payload: dict, value: Union[int, Fraction]) -> None:
     if ns.format == "json":
-        print(json.dumps(dict(payload, value=_json_value(value))))
+        print(json.dumps(payload)[:-1] + f', "value": {_json_piece(value)}}}')
     else:
         print(value)
 
@@ -217,13 +258,9 @@ def _emit_scalar(ns: argparse.Namespace, payload: dict, value: Union[int, Fracti
 
 def _cmd_terms(ns: argparse.Namespace) -> int:
     spec = parse_spec(ns.spec)
-    values = terms(spec, ns.start, ns.count)
+    values = decimal_terms(spec, ns.start, ns.count)
     _emit_indexed(ns, {"command": "terms", "spec": ns.spec}, values, ns.start)
     return 0
-
-
-# Elements per write in gaps' output, so memory stays flat however long a gap is.
-_GAP_CHUNK = 4096
 
 
 def _cmd_gaps(ns: argparse.Namespace) -> int:
@@ -236,7 +273,7 @@ def _cmd_gaps(ns: argparse.Namespace) -> int:
         for n, g in gaps:
             row = json.dumps({"n": n, **dataclasses.asdict(g)})[:-1]
             write((", " if n else "") + row + ', "elements": [')
-            _write_elements(write, g, ", ")
+            _write_joined(map(str, g.elements), ", ")
             write("]}")
         write("]}\n")
     elif ns.format == "csv":
@@ -245,14 +282,9 @@ def _cmd_gaps(ns: argparse.Namespace) -> int:
     else:
         for n, g in gaps:
             write(f"{n} {g.start} {g.length} " + ("" if g.length else "-"))
-            _write_elements(write, g, ",")
+            _write_joined(map(str, g.elements), ",")
             write("\n")
     return 0
-
-
-def _write_elements(write: Callable[[str], object], g: Gap, sep: str) -> None:
-    for i in range(0, g.length, _GAP_CHUNK):
-        write((sep if i else "") + sep.join(map(str, g.elements[i:i + _GAP_CHUNK])))
 
 
 # gapsum kinds: the first is the default and has no flag.
@@ -265,7 +297,7 @@ _GAP_SUMS: dict[str, Callable[[int, int], int]] = {
 
 def _cmd_gapsum(ns: argparse.Namespace) -> int:
     spec = parse_spec(ns.spec)
-    values = gap_sequence(_GAP_SUMS[ns.kind], spec, ns.count)
+    values = decimal_gap_sequence(_GAP_SUMS[ns.kind], spec, ns.count)
     _emit_indexed(ns, {"command": "gapsum", "spec": ns.spec, "kind": ns.kind}, values)
     return 0
 
@@ -289,7 +321,7 @@ _GF_BUILDERS: dict[str, Callable[[Horadam], RatFunc]] = {
 def _cmd_gf(ns: argparse.Namespace) -> int:
     spec = Horadam(*ns.horadam)
     f = _GF_BUILDERS[ns.kind](spec)
-    expansion = f.expand(ns.expand) if ns.expand is not None else None
+    expansion = decimal_expansion(f, ns.expand) if ns.expand is not None else None
     if ns.format == "json":
         num, den = integer_coefficients(f)
         payload = {
@@ -300,9 +332,10 @@ def _cmd_gf(ns: argparse.Namespace) -> int:
             "num": num,
             "den": den,
         }
-        if expansion is not None:
-            payload["expansion"] = [_json_value(v) for v in expansion]
-        print(json.dumps(payload))
+        if expansion is None:
+            print(json.dumps(payload))
+        else:
+            _write_json(payload, "expansion", map(_json_piece, expansion))
     elif ns.format == "csv" and expansion is None:
         raise ValueError("csv output for gf needs --expand")
     else:
@@ -315,7 +348,7 @@ def _cmd_gf(ns: argparse.Namespace) -> int:
 
 def _cmd_expand(ns: argparse.Namespace) -> int:
     f = RatFunc(Poly(ns.num), Poly(ns.den))
-    values = f.expand(ns.count)
+    values = decimal_expansion(f, ns.count)
     _emit_indexed(ns, {"command": "expand", "text": ratfunc_to_text(f)}, values)
     return 0
 

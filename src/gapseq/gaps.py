@@ -4,7 +4,8 @@ The n-th gap is the run of consecutive integers strictly between a_n and
 a_(n+1). Three sum variants exist: ``gap_sum`` clamps to 0 on empty gaps,
 ``gap_sum_signed`` evaluates the closed form without clamping (negative at
 descents), and ``gap_sum_abs`` sums a_n + j over j = 1 .. |a_(n+1)-a_n-1|.
-``gap_sequence`` computes any of them for n = 0 .. count-1 in one pass.
+``gap_sequence`` computes any of them for n = 0 .. count-1 in one pass;
+``decimal_gap_sequence`` gives the same sums as exact Decimals to print.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, TypeVar
 
-from .sequences import SeqSpec, terms
+from ._decimal import exact
+from .sequences import SeqSpec, decimal_terms, terms
 
 T = TypeVar("T")
 
@@ -78,6 +80,20 @@ def gap_sequence(stat: Callable[[int, int], T], spec: SeqSpec, count: int) -> li
     """stat(a_n, a_(n+1)) for n = 0 .. count-1, from one pass over the terms."""
     values = terms(spec, 0, count + 1)
     return list(map(stat, values, values[1:]))
+
+
+def decimal_gap_sequence(stat: Callable[[int, int], int], spec: SeqSpec, count: int) -> list:
+    """The values of ``gap_sequence(stat, spec, count)``, ready to print,
+    for a stat of plain arithmetic (the gap sums).
+
+    stat runs on ``decimal_terms``, so the sums of Horadam and geometric
+    terms are exact Decimals, whose ``str`` is linear where an int's is
+    quadratic. The unary plus turns a Decimal negative zero, as in the
+    signed sum 0 * -97 // 2, into 0.
+    """
+    with exact():
+        values = decimal_terms(spec, 0, count + 1)
+        return [+v for v in map(stat, values, values[1:])]
 
 
 def gap(spec: SeqSpec, n: int) -> Gap:

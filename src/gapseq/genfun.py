@@ -23,12 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, TypeVar, Union
 
+from ._decimal import exact, to_decimal
 from .gaps import gap_sequence, gap_sum_signed_between
 from .sequences import Horadam
 
 Coeff = Union[int, Fraction]
+N = TypeVar("N")  # int, or an exact Decimal integer
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,17 @@ class RatFunc:
         c_i = u_i / (q^i * L). Horadam generating functions and integer
         denominators have q = 1, so the scaled values do not grow.
         """
+        q, big_l, nums, weights = self._scaled_recurrence(count)
+        out: list[Fraction] = []
+        scale = big_l  # q^i * L
+        for u in _scaled_run(nums, weights, q, count):
+            # Fraction(u) skips the gcd that Fraction(u, 1) pays.
+            out.append(Fraction(u) if scale == 1 else Fraction(u, scale))
+            scale *= q
+        return out
+
+    def _scaled_recurrence(self, count: int) -> tuple[int, int, list[int], list[int]]:
+        """q, L, the integers L * num_i and the weights e_j * q^(j-1) of ``expand``."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         num, den = self.num.coeffs, self.den.coeffs
@@ -156,16 +169,41 @@ class RatFunc:
         weights = [
             c.numerator * (q // c.denominator) * q ** (j - 1) for j, c in enumerate(den[1:], 1)
         ]
-        window: deque[int] = deque(maxlen=len(weights))  # u_(i-1), u_(i-2), ...
-        out: list[Fraction] = []
-        power = 1  # q^i
-        for i in range(count):
-            u = (power * nums[i] if i < len(nums) else 0) - sum(map(mul, weights, window))
-            scale = power * big_l  # Fraction(u) skips the gcd that Fraction(u, 1) pays
-            out.append(Fraction(u) if scale == 1 else Fraction(u, scale))
-            window.appendleft(u)
-            power *= q
-        return out
+        return q, big_l, nums, weights
+
+
+def _scaled_run(nums: Sequence[N], weights: Sequence[N], q: int, count: int) -> Iterator[N]:
+    """u_0 .. u_(count-1) of u_i = q^i * nums_i - sum(weights_j * u_(i-1-j)).
+
+    Runs on ints, or on exact Decimals under the exact context. There the
+    sum starts from the int 0, so it is never a negative zero, and
+    neither is any u_i.
+    """
+    window: deque[N] = deque(maxlen=len(weights))  # u_(i-1), u_(i-2), ...
+    power = 1  # q^i
+    for i in range(count):
+        u = (power * nums[i] if i < len(nums) else 0) - sum(map(mul, weights, window))
+        yield u
+        window.appendleft(u)
+        power *= q
+
+
+def decimal_expansion(f: RatFunc, count: int) -> list:
+    """The values of ``f.expand(count)``, ready to print.
+
+    At scale 1 (q = L = 1 in ``expand``: every Horadam generating
+    function, and integer num/den with den(0) = 1) the coefficients are
+    the integers u_i, stepped on exact Decimals, whose ``str`` is linear
+    where an int's is quadratic. At any other scale this is
+    ``f.expand(count)``, with its Fractions.
+    """
+    q, big_l, nums, weights = f._scaled_recurrence(count)
+    if q != 1 or big_l != 1:
+        return f.expand(count)
+    with exact():
+        return list(_scaled_run(
+            [to_decimal(c) for c in nums], [to_decimal(w) for w in weights], 1, count
+        ))
 
 
 def ratfunc(num: Sequence[Coeff], den: Sequence[Coeff] = (1,)) -> RatFunc:

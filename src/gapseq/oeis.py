@@ -21,6 +21,8 @@ from ._intdigits import unlimited_int_digits
 A_NUMBER = re.compile(r"\AA\d{6}\Z")
 _BFILE_URL = "https://oeis.org/{seq_id}/b{digits}.txt"
 _HTTP_TIMEOUT = 30.0
+# The largest response body read; OEIS b-files stay far below it.
+_MAX_RESPONSE_BYTES = 64 << 20
 CACHE_DIR_ENV = "GAPSEQ_CACHE_DIR"
 
 
@@ -171,10 +173,11 @@ def default_cache_dir() -> Path:
 def fetch_bfile(seq_id: str, cache_dir: Union[str, Path, None] = None) -> BFile:
     """Cached b-file lookup; one HTTP GET on a cache miss.
 
-    A download is parsed before it is cached, so a malformed one raises
-    BFileError and leaves the cache as it was. A cached file that does not
-    parse is renamed to ``b<digits>.txt.bad``, replacing an older one, and
-    the b-file is fetched once more. Raw bytes land in
+    A download is parsed before it is cached, so a malformed one, or one
+    with no entries, raises BFileError and leaves the cache as it was. A
+    cached file that does not parse or has no entries is renamed to
+    ``b<digits>.txt.bad``, replacing an older one, and the b-file is
+    fetched once more. Raw bytes land in
     ``cache_dir/b<digits>.txt`` through a temp file and rename, so
     concurrent fetchers never observe partial files.
     """
@@ -186,11 +189,11 @@ def fetch_bfile(seq_id: str, cache_dir: Union[str, Path, None] = None) -> BFile:
     # No file is a cache miss; a concurrent fetcher may also have set a bad one aside.
     with contextlib.suppress(FileNotFoundError):
         try:
-            return parse_bfile(path.read_bytes(), seq_id)
+            return _parse_nonempty(path.read_bytes(), seq_id)
         except BFileError:
             os.replace(path, path.with_name(path.name + ".bad"))
     raw = _http_get(_BFILE_URL.format(seq_id=seq_id, digits=digits))
-    bfile = parse_bfile(raw, seq_id)
+    bfile = _parse_nonempty(raw, seq_id)
     # Imported here, like the network stack in _http_get: only a cache miss writes a file.
     import tempfile
 
@@ -209,7 +212,15 @@ def fetch_bfile(seq_id: str, cache_dir: Union[str, Path, None] = None) -> BFile:
     return bfile
 
 
+def _parse_nonempty(raw: bytes, seq_id: str) -> BFile:
+    bfile = parse_bfile(raw, seq_id)
+    if not bfile.entries:
+        raise BFileError(f"b-file {seq_id} has no entries")
+    return bfile
+
+
 def _http_get(url: str) -> bytes:
+    """The body of url, failing with FetchError beyond _MAX_RESPONSE_BYTES."""
     # Imported here, not at module level: urllib.request pulls in http.client,
     # email and ssl, the largest part of gapseq's import time, and only a
     # b-file download needs them.
@@ -218,8 +229,11 @@ def _http_get(url: str) -> bytes:
 
     try:
         with urllib.request.urlopen(url, timeout=_HTTP_TIMEOUT) as response:
-            return response.read()
+            body = response.read(_MAX_RESPONSE_BYTES + 1)
     except urllib.error.HTTPError as exc:
         raise FetchError(f"HTTP {exc.code} fetching {url}") from exc
     except urllib.error.URLError as exc:
         raise FetchError(f"network unavailable for {url}: {exc.reason}") from exc
+    if len(body) > _MAX_RESPONSE_BYTES:
+        raise FetchError(f"response from {url} is larger than {_MAX_RESPONSE_BYTES} bytes")
+    return body

@@ -4,6 +4,9 @@ A sequence spec is a small frozen dataclass describing one family
 (linear, geometric, polynomial, binomial, Horadam recurrence, primes,
 the paper-folding walk, or an explicit list). ``term`` and ``terms``
 evaluate specs without ever leaving exact integer arithmetic.
+``decimal_terms`` gives the same values for printing: Horadam and
+geometric runs grow long, so it steps them on exact Decimals, whose
+``str`` is linear where an int's is quadratic.
 """
 
 from __future__ import annotations
@@ -13,7 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
 from math import comb, isqrt
-from typing import Union
+from typing import TypeVar, Union
+
+from ._decimal import exact, to_decimal
+
+N = TypeVar("N")  # int, or an exact Decimal integer
 
 
 class SpecError(ValueError):
@@ -189,22 +196,13 @@ def terms(spec: SeqSpec, n0: int, count: int) -> list[int]:
         case Linear(k=k, r=r):
             return [k * n + r for n in range(n0, end)]
         case Geometric(k=k, offset=offset):
-            out, power = [], k**n0
-            for _ in range(count):
-                out.append(power + offset)
-                power *= k
-            return out
+            return _geometric_run(k**n0, k, offset, count)
         case Polynomial():
             return _polynomial_run(spec, n0, count)
         case Binomial(shift=shift, lower=lower):
             return [comb(m, lower) for m in range(n0 + shift, end + shift)]
         case Horadam(r=r, s=s):
-            a, b = _horadam_pair(spec, n0 + spec.shift)
-            out = [a]
-            for _ in range(count - 1):
-                a, b = b, r * b + s * a
-                out.append(a)
-            return out
+            return _horadam_run(*_horadam_pair(spec, n0 + spec.shift), r, s, count)
         case Primes():
             nth_prime(end - 1)
             return _primes[n0:end]
@@ -217,6 +215,47 @@ def terms(spec: SeqSpec, n0: int, count: int) -> list[int]:
                 raise _explicit_range_error(values, max(n0, len(values)))
             return list(values[n0:end])
     raise TypeError(f"not a sequence spec: {spec!r}")
+
+
+def decimal_terms(spec: SeqSpec, n0: int, count: int) -> list:
+    """The values of ``terms(spec, n0, count)``, ready to print.
+
+    Horadam and geometric terms come back as exact Decimals, stepped by
+    the same loops as ``terms`` from the int seeds it would use (the
+    O(log n0) Horadam jump, k**n0), converted in subquadratic time.
+    Every other family returns ``terms(spec, n0, count)``, whose values
+    stay short.
+    """
+    if not isinstance(spec, (Horadam, Geometric)) or count <= 0 or n0 < 0:
+        return terms(spec, n0, count)
+    with exact():
+        if isinstance(spec, Geometric):
+            k, offset = to_decimal(spec.k), to_decimal(spec.offset)
+            return _geometric_run(to_decimal(spec.k**n0), k, offset, count)
+        a, b = _horadam_pair(spec, n0 + spec.shift)
+        r, s = to_decimal(spec.r), to_decimal(spec.s)
+        return _horadam_run(to_decimal(a), to_decimal(b), r, s, count)
+
+
+def _geometric_run(power: N, k: N, offset: N, count: int) -> list[N]:
+    """power + offset, then k times as much power each step (k >= 2, so
+    power > 0 and no Decimal sum is a negative zero)."""
+    out = []
+    for _ in range(count):
+        out.append(power + offset)
+        power *= k
+    return out
+
+
+def _horadam_run(a: N, b: N, r: N, s: N, count: int) -> list[N]:
+    """a, b, then r*b + s*a each step, count values in all. The unary plus
+    changes no int; on a Decimal it turns the negative zero of, say,
+    (-1)*0 + (-1)*0 into 0, which prints as "0"."""
+    out = [a]
+    for _ in range(count - 1):
+        a, b = b, +(r * b + s * a)
+        out.append(a)
+    return out
 
 
 def _explicit_range_error(values: tuple[int, ...], n: int) -> IndexError:

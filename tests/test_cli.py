@@ -138,9 +138,9 @@ class TestGapsCommand:
             assert line == f"{n} {g.start} {g.length} {elements}"
 
     def test_text_gaps_longer_than_one_write(self, capsys):
-        out = run_ok(capsys, ["gaps", "--spec", "geom:2", "--count", "15"])
-        gaps = [gap(Geometric(2), n) for n in range(15)]
-        assert gaps[-1].length > 3 * cli._GAP_CHUNK
+        out = run_ok(capsys, ["gaps", "--spec", "geom:2", "--count", "17"])
+        gaps = [gap(Geometric(2), n) for n in range(17)]
+        assert len(",".join(map(str, gaps[-1].elements))) > 3 * cli._WRITE_CHARS
         want = "".join(
             f"{n} {g.start} {g.length} {','.join(map(str, g.elements)) or '-'}\n"
             for n, g in enumerate(gaps)
@@ -395,6 +395,17 @@ class TestCheckOeis:
         )
         assert "matched shift=0" in out
         assert (tmp_path / "b103897.txt").exists()
+
+    def test_empty_download_is_fetched_again(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("GAPSEQ_CACHE_DIR", str(tmp_path))
+        calls = []
+        monkeypatch.setattr(oeis, "_http_get", lambda url: calls.append(url) or b"")
+        argv = ["check-oeis", "--spec", "fib", "--kind", "terms", "--id", "A000045", "--fetch"]
+        for _ in range(2):
+            assert run(argv) == 1
+            assert "has no entries" in capsys.readouterr().err
+        assert len(calls) == 2
+        assert not (tmp_path / "b000045.txt").exists()
 
     def test_fetch_network_down_exit_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GAPSEQ_CACHE_DIR", str(tmp_path))

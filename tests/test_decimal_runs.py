@@ -1,0 +1,221 @@
+"""The exact Decimal runs the CLI prints from, pinned to the int path.
+
+``decimal_terms``, ``decimal_gap_sequence`` and ``decimal_expansion``
+must give, value for value, the same text as ``terms``, ``gap_sequence``
+and ``RatFunc.expand``; the int functions are the reference.
+"""
+
+import decimal
+import io
+import json
+from decimal import Decimal
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gapseq.cli as cli
+from gapseq._decimal import _DIRECT_BITS, exact, to_decimal
+from gapseq._intdigits import unlimited_int_digits
+from gapseq.cli import run
+from gapseq.gaps import (
+    decimal_gap_sequence,
+    gap_sequence,
+    gap_sum_abs_between,
+    gap_sum_between,
+    gap_sum_signed_between,
+)
+from gapseq.genfun import (
+    decimal_expansion,
+    horadam_gap_sum_gf,
+    horadam_gf,
+    horadam_shift_gf,
+    horadam_shift_square_gf,
+    horadam_square_gf,
+    ratfunc,
+)
+from gapseq.sequences import FIBONACCI, Geometric, Horadam, Linear, Primes, decimal_terms, terms
+
+GAP_SUMS = (gap_sum_between, gap_sum_signed_between, gap_sum_abs_between)
+GF_BUILDERS = (horadam_gf, horadam_shift_gf, horadam_square_gf, horadam_shift_square_gf,
+               horadam_gap_sum_gf)
+
+horadams = st.builds(
+    Horadam, st.integers(-9, 9), st.integers(-9, 9), st.integers(-5, 5), st.integers(-5, 5),
+    st.integers(0, 5),
+)
+geometrics = st.builds(Geometric, st.integers(2, 12), st.integers(-10**6, 10**6))
+starts = st.one_of(st.integers(0, 40), st.integers(0, 5000))
+
+
+def texts(values):
+    with unlimited_int_digits():
+        return [str(v) for v in values]
+
+
+def bits_exactly(bits):
+    return st.integers(2 ** (bits - 1), 2**bits - 1)
+
+
+# Widths on both sides of the direct-conversion limit and of the first
+# power-of-two splits above it.
+EDGE_BITS = sorted({w + d for w in (_DIRECT_BITS, 2 * _DIRECT_BITS, 4 * _DIRECT_BITS,
+                                    8 * _DIRECT_BITS) for d in (-2, -1, 0, 1, 2)})
+
+
+class TestToDecimal:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(), st.sampled_from(EDGE_BITS).flatmap(bits_exactly),
+                     st.sampled_from(EDGE_BITS).map(lambda b: 2**b),
+                     st.sampled_from(EDGE_BITS).map(lambda b: 2**b - 1)),
+           st.booleans())
+    def test_matches_decimal_of_int(self, n, negative):
+        n = -n if negative else n
+        got = to_decimal(n)
+        assert got.as_tuple() == Decimal(n).as_tuple()
+
+    def test_zero_has_no_sign(self):
+        assert to_decimal(0).as_tuple() == Decimal(0).as_tuple()
+        assert to_decimal(-0).as_tuple().sign == 0
+
+
+class TestDecimalTerms:
+    @settings(max_examples=300, deadline=None)
+    @given(horadams, starts, st.integers(0, 40))
+    def test_horadam_matches_terms(self, spec, n0, count):
+        got = decimal_terms(spec, n0, count)
+        assert texts(got) == texts(terms(spec, n0, count))
+        assert all(isinstance(v, Decimal) for v in got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(geometrics, starts, st.integers(0, 40))
+    def test_geometric_matches_terms(self, spec, n0, count):
+        got = decimal_terms(spec, n0, count)
+        assert texts(got) == texts(terms(spec, n0, count))
+        assert all(isinstance(v, Decimal) for v in got)
+
+    def test_zero_run_prints_no_negative_zero(self):
+        assert texts(decimal_terms(Horadam(0, 0, -1, -1), 0, 4)) == ["0"] * 4
+
+    def test_other_families_are_terms(self):
+        for spec in (Linear(3, 1), Primes()):
+            assert decimal_terms(spec, 5, 20) == terms(spec, 5, 20)
+
+    def test_errors_are_those_of_terms(self):
+        with pytest.raises(IndexError):
+            decimal_terms(FIBONACCI, -1, 3)
+        with pytest.raises(ValueError):
+            decimal_terms(FIBONACCI, 0, -1)
+
+
+class TestDecimalGapSums:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(horadams, geometrics), st.sampled_from(GAP_SUMS), st.integers(0, 60))
+    def test_matches_gap_sequence(self, spec, stat, count):
+        got = decimal_gap_sequence(stat, spec, count)
+        assert texts(got) == texts(gap_sequence(stat, spec, count))
+
+    def test_signed_zero_sum_prints_no_negative_zero(self):
+        got = decimal_gap_sequence(gap_sum_signed_between, Geometric(2, -50), 3)
+        assert texts(got) == ["0", "-47", "-132"]
+
+
+class TestDecimalExpansion:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-20, 20), max_size=5),
+           st.sampled_from((1, -1)), st.lists(st.integers(-6, 6), max_size=4),
+           st.integers(0, 80))
+    def test_integer_series_matches_expand(self, num, lead, den_rest, count):
+        f = ratfunc(num, [lead, *den_rest])
+        assert texts(decimal_expansion(f, count)) == texts(f.expand(count))
+
+    def test_scale_one_runs_on_decimal(self):
+        got = decimal_expansion(ratfunc([1], [1, -1, -1]), 10)
+        assert all(isinstance(v, Decimal) for v in got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(horadams, st.sampled_from(GF_BUILDERS), st.integers(0, 200))
+    def test_horadam_gfs_match_expand(self, spec, build, count):
+        try:
+            f = build(spec)
+        except ArithmeticError:  # degenerate seeds the builders reject
+            return
+        assert texts(decimal_expansion(f, count)) == texts(f.expand(count))
+
+    def test_other_scales_are_expand(self):
+        for f in (ratfunc([1, 1], [3, 1]), ratfunc([Fraction(1, 2), 1], [1, -1])):
+            assert decimal_expansion(f, 12) == f.expand(12)
+
+
+class TestCliRuns:
+    @pytest.mark.parametrize("argv", [
+        ["terms", "--spec", "horadam:2,-3,-2,3,1", "--count", "400", "--from", "9"],
+        ["gapsum", "--spec", "geom:3,-7", "--signed", "--count", "300"],
+        ["gapsum", "--spec", "pell", "--abs", "--count", "300"],
+        ["gf", "--horadam", "1,2,2,2", "--gapsum", "--expand", "300"],
+        ["expand", "--num", "1", "--den", "1,-3,1", "--count", "300"],
+        ["expand", "--num", "1,1/2", "--den", "1,-1/3", "--count", "20"],
+    ])
+    def test_json_bytes_match_one_dumps(self, capsys, argv):
+        assert run(argv) == 0
+        text = capsys.readouterr().out
+        assert run(argv + ["--format", "json"]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert out == json.dumps(doc) + "\n"
+        key = "expansion" if argv[0] == "gf" else "values"
+        assert [str(v) for v in doc[key]] == text.split()[-len(doc[key]):]
+
+    @pytest.mark.parametrize("argv, want", [
+        (["gapsum", "--spec", "geom:2,-50", "--signed", "--count", "3"], "0 -47 -132\n"),
+        (["terms", "--spec", "horadam:0,0,-1,-1", "--count", "4"], "0 0 0 0\n"),
+    ])
+    def test_no_negative_zero(self, capsys, argv, want):
+        assert run(argv) == 0
+        assert capsys.readouterr().out == want
+
+    def test_callers_decimal_context_is_unchanged(self, capsys):
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.rounding = 5, decimal.ROUND_FLOOR
+            before = repr(ctx)
+            assert run(["gapsum", "--spec", "geom:2,-50", "--signed", "--count", "300"]) == 0
+            out = capsys.readouterr().out
+            assert decimal.getcontext() is ctx
+            assert repr(ctx) == before
+        want = gap_sequence(gap_sum_signed_between, Geometric(2, -50), 300)
+        assert out.split() == texts(want)
+
+    def test_exact_context_traps_rounding(self):
+        with exact(), pytest.raises(decimal.Inexact):
+            Decimal("0.5").to_integral_exact()
+
+
+class TestChunkedWriter:
+    def test_writes_are_bounded_and_join_to_the_text(self, monkeypatch):
+        writes = []
+        stream = io.StringIO()
+        stream.write = lambda s: writes.append(s) or len(s)
+        monkeypatch.setattr(cli.sys, "stdout", stream)
+        assert run(["terms", "--spec", "fib", "--count", "3000"]) == 0
+        assert "".join(writes) == " ".join(texts(terms(FIBONACCI, 0, 3000))) + "\n"
+        assert len(writes) > 3
+        assert max(map(len, writes)) <= 2 * cli._WRITE_CHARS
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_small_writes_give_the_same_bytes(self, capsys, monkeypatch, fmt):
+        argv = ["terms", "--spec", "geom:3,-2", "--count", "200", "--format", fmt]
+        assert run(argv) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_WRITE_CHARS", 7)
+        assert run(argv) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("fmt, want", [
+        ("text", "\n"),
+        ("csv", "n,value\n"),
+        ("json", json.dumps({"command": "terms", "spec": "fib", "values": [], "start": 0}) + "\n"),
+    ])
+    def test_empty_output(self, capsys, fmt, want):
+        assert run(["terms", "--spec", "fib", "--count", "0", "--format", fmt]) == 0
+        assert capsys.readouterr().out == want

@@ -1,3 +1,4 @@
+import io
 import sys
 import threading
 import urllib.error
@@ -291,6 +292,53 @@ class TestFetch:
         with pytest.raises(BFileError, match="line 3"):
             fetch_bfile("A054265", tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["b054265.txt.bad"]
+
+    def test_empty_download_is_not_cached(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oeis, "_http_get", lambda url: b"# no terms\n")
+        with pytest.raises(BFileError, match="no entries"):
+            fetch_bfile("A054265", tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_cached_file_is_set_aside_and_refetched(self, tmp_path, monkeypatch):
+        (tmp_path / "b054265.txt").write_bytes(b"")
+        raw = load_fixture("b054265.txt")
+        calls = []
+
+        def fake_get(url):
+            calls.append(url)
+            return raw
+
+        monkeypatch.setattr(oeis, "_http_get", fake_get)
+        assert fetch_bfile("A054265", tmp_path).values[:4] == [0, 4, 6, 27]
+        assert len(calls) == 1
+        assert (tmp_path / "b054265.txt").read_bytes() == raw
+        assert (tmp_path / "b054265.txt.bad").read_bytes() == b""
+
+    @staticmethod
+    def _serve(monkeypatch, body):
+        """Stub urlopen with a response of body; returns the sizes read."""
+        sizes = []
+
+        class Response(io.BytesIO):
+            def read(self, size=-1):
+                sizes.append(size)
+                return super().read(size)
+
+        monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout: Response(body))
+        monkeypatch.setattr(oeis, "_MAX_RESPONSE_BYTES", 16)
+        return sizes
+
+    def test_response_at_the_bound_is_read(self, monkeypatch):
+        sizes = self._serve(monkeypatch, b"0 1\n1 2\n2 3\n3 4\n")
+        assert oeis._http_get("https://oeis.org/A000001/b000001.txt") == b"0 1\n1 2\n2 3\n3 4\n"
+        assert sizes == [17]
+
+    def test_response_beyond_the_bound_fails(self, tmp_path, monkeypatch):
+        sizes = self._serve(monkeypatch, b"0 1\n1 2\n2 3\n3 456\n" + b"9" * 1000)
+        with pytest.raises(FetchError, match="larger than 16 bytes"):
+            fetch_bfile("A000001", tmp_path)
+        assert sizes == [17]
+        assert list(tmp_path.iterdir()) == []
 
     def test_network_unavailable(self, tmp_path, monkeypatch):
         def down(url):
