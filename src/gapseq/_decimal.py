@@ -1,4 +1,4 @@
-"""Exact integer arithmetic on ``decimal.Decimal``, for values that are printed.
+"""Exact integer arithmetic on ``decimal.Decimal``, and exact int <-> str.
 
 ``str`` of a Decimal is linear in its length, while ``str`` of an int
 is quadratic below 4300 digits on Python 3.10-3.13 (and everywhere on
@@ -12,12 +12,18 @@ Every operation runs under one exact context, entered only through
 rounding raises instead of losing digits. Only integer operations are
 meant to run under it: +, -, *, an exact // and unary plus. A true
 division that does not terminate would try to compute MAX_PREC digits.
+
+``int_to_str`` and ``str_to_int`` are exact and subquadratic under any
+int/str digit limit (4300 digits by default), which they never change:
+past it they hand the builtins pieces under 640 digits, the least limit.
 """
 
 from __future__ import annotations
 
 import decimal
+import re
 from decimal import Decimal
+from functools import cache
 from typing import ContextManager
 
 _CONTEXT = decimal.Context(
@@ -38,9 +44,11 @@ _CONTEXT = decimal.Context(
 # longer ones are split in two by bits and recombined with a power of two.
 _DIRECT_BITS = 2048
 
-# w -> Decimal(2)**w. Every w is a power of two, so the cache holds one
-# entry per doubling up to the longest int ever converted.
-_POW2: dict[int, Decimal] = {}
+# Ints up to this many bits print through str, faster up to about here.
+_STR_BITS = 14000
+# Digits per leaf of str_to_int's split, within any digit limit.
+_LEAF_DIGITS = 600
+_DIGIT_RUN = re.compile(r"[+-]?[0-9]+")
 
 
 def exact() -> ContextManager[decimal.Context]:
@@ -67,13 +75,43 @@ def _split(n: int, bits: int) -> Decimal:
     return _split(high, bits - w) * _pow2(w) + _split(n - (high << w), w)
 
 
+@cache
 def _pow2(w: int) -> Decimal:
-    power = _POW2.get(w)
-    if power is None:
-        if w <= _DIRECT_BITS:
-            power = Decimal(2) ** w
-        else:
-            half = _pow2(w >> 1)
-            power = half * half
-        _POW2[w] = power
-    return power
+    """Decimal(2)**w for w a power of two, cached; run under the exact context."""
+    return Decimal(2) ** w if w <= _DIRECT_BITS else _pow2(w >> 1) * _pow2(w >> 1)
+
+
+def int_to_str(n: int) -> str:
+    """str(n) at any size and under any int/str digit limit."""
+    if n.bit_length() <= _STR_BITS:
+        try:
+            return str(n)
+        except ValueError:  # a digit limit lowered below n's length
+            pass
+    return str(to_decimal(n))
+
+
+def str_to_int(text: str) -> int:
+    """int(text) at any length and under any int/str digit limit: int()
+    itself where it takes text, and past the limit only ``[+-]?[0-9]+``."""
+    try:
+        return int(text)
+    except ValueError:
+        if not _DIGIT_RUN.fullmatch(text):
+            raise
+    magnitude = _from_digits(text.lstrip("+-"))
+    return -magnitude if text[0] == "-" else magnitude
+
+
+def _from_digits(digits: str) -> int:
+    """int(digits) for a run of ASCII digits, splitting off the low k
+    digits, with k the largest _LEAF_DIGITS * 2**j below its length."""
+    if len(digits) <= _LEAF_DIGITS:
+        return int(digits)
+    k = _LEAF_DIGITS << ((len(digits) - 1) // _LEAF_DIGITS).bit_length() - 1
+    return _from_digits(digits[:-k]) * _pow10(k) + _from_digits(digits[-k:])
+
+
+@cache
+def _pow10(k: int) -> int:
+    return 10**k if k <= _LEAF_DIGITS else _pow10(k >> 1) ** 2

@@ -10,7 +10,9 @@ failed check, 2 usage error.
 exact Decimal runs (``decimal_terms``, ``decimal_gap_sequence``,
 ``decimal_expansion``): their values grow exponentially, and ``str`` of
 a Decimal is linear where an int's is quadratic. Indexed output goes out
-in writes of about 64 KiB, so no output is held whole.
+in writes of about 64 KiB, so no output is held whole. Through ``_text``
+and ``_json``, output is exact under any int/str digit limit, which
+gapseq never changes; command-line numbers stay within it.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ import shutil  # noqa: F401
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from pathlib import Path
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from pathlib import Path
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import oeis, tables
-from ._intdigits import unlimited_int_digits
+from ._decimal import int_to_str
 from .combinatorics import fc_identity_sides, fuss_catalan, raney, raney_identity_sides
 from .gaps import (
     decimal_gap_sequence,
@@ -201,55 +203,72 @@ def _a_number(text: str) -> str:
 # enough that no output is ever held whole.
 _WRITE_CHARS = 1 << 16
 
+Value = Union[int, Decimal, Fraction]
 
-def _write_joined(pieces: Iterator[str], sep: str) -> None:
-    """Write sep.join(pieces) to stdout in writes of about _WRITE_CHARS.
 
-    Each batch holds as many pieces as the last one's text says fit, at
-    most twice as many, since pieces grow (a run of terms); no piece is
-    empty, so an empty batch means the pieces are used up.
-    """
+def _write_joined(rows: Iterable, sep: str, render: Callable = lambda b, t: map(t, b)) -> None:
+    """Write sep.join(render(batch, t)) to stdout for batches of rows,
+    each as many rows as the last batch's text says fit in _WRITE_CHARS,
+    at most twice as many. render writes a value v as t(v), with t str,
+    or _text when str refuses an int past the digit limit."""
     write = sys.stdout.write
+    rows = iter(rows)
     batch, lead = 64, ""
-    while text := sep.join(islice(pieces, batch)):
+    while chunk := list(islice(rows, batch)):
+        try:
+            text = sep.join(render(chunk, str))
+        except ValueError:
+            text = sep.join(render(chunk, _text))
         write(lead + text)
         batch, lead = max(1, min(2 * batch, batch * _WRITE_CHARS // len(text))), sep
 
 
-def _write_json(head: dict, key: str, pieces: Iterator[str], tail: str = "") -> None:
-    """The bytes of json.dumps(head + {key: [...]}) + tail, then a newline,
-    for a list already rendered to json pieces. It is written in chunks,
-    and json.dumps could not render the Decimals the list may hold."""
-    sys.stdout.write(json.dumps({**head, key: []})[:-2])
-    _write_joined(pieces, ", ")
+def _text(v: Value) -> str:
+    """str(v), exact at any size under any int/str digit limit."""
+    if type(v) is Fraction and v.denominator != 1:
+        return f"{int_to_str(v.numerator)}/{int_to_str(v.denominator)}"
+    return str(v) if type(v) is Decimal else int_to_str(int(v))
+
+
+def _json_number(v: Value, text: Callable[[Value], str] = _text) -> str:
+    """v as json.dumps writes it, but a Fraction that is not whole is a
+    string like "1/3". type(), not isinstance: the ABC check is slow."""
+    return f'"{text(v)}"' if type(v) is Fraction and v.denominator != 1 else text(v)
+
+
+def _json(obj: object) -> str:
+    """json.dumps(obj) for dicts, lists, strings, bools, None and values,
+    exact at any size; a Fraction that is not whole is a string."""
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_json, obj)) + "]"
+    if isinstance(obj, (int, Decimal, Fraction)) and not isinstance(obj, bool):
+        return _json_number(obj)
+    return json.dumps(obj)
+
+
+def _write_json(head: dict, key: str, values: Sequence[Value], tail: str = "") -> None:
+    """_json(head + {key: values}) + tail and a newline, written in chunks."""
+    sys.stdout.write(_json({**head, key: []})[:-2])
+    _write_joined(values, ", ", lambda b, t: [_json_number(v, t) for v in b])
     sys.stdout.write("]" + tail + "}\n")
-
-
-def _json_piece(v: Union[int, Decimal, Fraction]) -> str:
-    """A value as json.dumps writes it: ints and Decimals as digits, whole
-    Fractions as their numerator, the rest as a string like "1/3"."""
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f'"{v}"'
-    return str(v)
 
 
 def _emit_indexed(ns: argparse.Namespace, payload: dict, values: Sequence, n0: int = 0) -> None:
     if ns.format == "json":
-        _write_json(payload, "values", map(_json_piece, values), f', "start": {n0}')
+        _write_json(payload, "values", values, f', "start": {n0}')
     elif ns.format == "csv":
         sys.stdout.write("n,value\n")
-        _write_joined((f"{n},{v}" for n, v in enumerate(values, n0)), "\n")
+        _write_joined(enumerate(values, n0), "\n", lambda b, t: [f"{n},{t(v)}" for n, v in b])
         sys.stdout.write("\n" if values else "")
     else:
-        _write_joined(map(str, values), " ")
+        _write_joined(values, " ")
         sys.stdout.write("\n")
 
 
-def _emit_scalar(ns: argparse.Namespace, payload: dict, value: Union[int, Fraction]) -> None:
-    if ns.format == "json":
-        print(json.dumps(payload)[:-1] + f', "value": {_json_piece(value)}}}')
-    else:
-        print(value)
+def _emit_scalar(ns: argparse.Namespace, payload: dict, value: Value) -> None:
+    print(_json({**payload, "value": value}) if ns.format == "json" else _text(value))
 
 
 # ---------------------------------------------------------------------------
@@ -268,21 +287,21 @@ def _cmd_gaps(ns: argparse.Namespace) -> int:
     gaps = enumerate(gap_sequence(gap_between, spec, ns.count))
     write = sys.stdout.write
     if ns.format == "json":
-        # The bytes of json.dumps of the whole document, written row by row.
-        write(json.dumps({"command": "gaps", "spec": ns.spec})[:-1] + ', "gaps": [')
+        # The bytes of _json of the whole document, written row by row.
+        write(_json({"command": "gaps", "spec": ns.spec})[:-1] + ', "gaps": [')
         for n, g in gaps:
-            row = json.dumps({"n": n, **dataclasses.asdict(g)})[:-1]
+            row = _json({"n": n, **dataclasses.asdict(g)})[:-1]
             write((", " if n else "") + row + ', "elements": [')
-            _write_joined(map(str, g.elements), ", ")
+            _write_joined(g.elements, ", ")
             write("]}")
         write("]}\n")
     elif ns.format == "csv":
         write("n,start,length\n")
-        sys.stdout.writelines(f"{n},{g.start},{g.length}\n" for n, g in gaps)
+        _write_joined(gaps, "", lambda b, t: [f"{n},{t(g.start)},{t(g.length)}\n" for n, g in b])
     else:
         for n, g in gaps:
-            write(f"{n} {g.start} {g.length} " + ("" if g.length else "-"))
-            _write_joined(map(str, g.elements), ",")
+            write(f"{n} {_text(g.start)} {_text(g.length)} " + ("" if g.length else "-"))
+            _write_joined(g.elements, ",")
             write("\n")
     return 0
 
@@ -324,18 +343,12 @@ def _cmd_gf(ns: argparse.Namespace) -> int:
     expansion = decimal_expansion(f, ns.expand) if ns.expand is not None else None
     if ns.format == "json":
         num, den = integer_coefficients(f)
-        payload = {
-            "command": "gf",
-            "horadam": list(ns.horadam),
-            "kind": ns.kind,
-            "text": ratfunc_to_text(f),
-            "num": num,
-            "den": den,
-        }
+        payload = {"command": "gf", "horadam": list(ns.horadam), "kind": ns.kind,
+                   "text": ratfunc_to_text(f), "num": num, "den": den}
         if expansion is None:
-            print(json.dumps(payload))
+            print(_json(payload))
         else:
-            _write_json(payload, "expansion", map(_json_piece, expansion))
+            _write_json(payload, "expansion", expansion)
     elif ns.format == "csv" and expansion is None:
         raise ValueError("csv output for gf needs --expand")
     else:
@@ -368,12 +381,13 @@ def _cmd_check_identity(ns: argparse.Namespace) -> int:
     if ns.fc is not None:
         k, n = ns.fc
         lhs, rhs = fc_identity_sides(k, n)
-        detail = f"P_{n}(kn+1, k={k}) = {lhs} vs k! * fc({n},{k}) = {rhs}"
+        detail = f"P_{n}(kn+1, k={k}) = {_text(lhs)} vs k! * fc({n},{k}) = {_text(rhs)}"
         payload = {"command": "check-identity", "identity": "fc", "k": k, "n": n}
     else:
         k, r, n = ns.raney
         lhs, rhs = raney_identity_sides(k, r, n)
-        detail = f"P_{n}(kn+r, k={k}, r={r}) = {lhs} vs (k!/r) * raney({n + 1},{r},{k}) = {rhs}"
+        detail = (f"P_{n}(kn+r, k={k}, r={r}) = {_text(lhs)} vs "
+                  f"(k!/r) * raney({n + 1},{r},{k}) = {_text(rhs)}")
         payload = {"command": "check-identity", "identity": "raney", "k": k, "r": r, "n": n}
     ok = lhs == rhs
     if ns.format == "json":
@@ -424,17 +438,14 @@ def _cmd_check_oeis(ns: argparse.Namespace) -> int:
         # seq_id repeats ns.id; first_mismatch is the only field that can be None.
         fields = {k: v for k, v in dataclasses.asdict(report).items()
                   if k != "seq_id" and v is not None}
-        print(json.dumps({"command": "check-oeis", "id": ns.id, "spec": ns.spec,
-                          "kind": ns.kind, **fields}))
+        print(_json({"command": "check-oeis", "id": ns.id, "spec": ns.spec,
+                     "kind": ns.kind, **fields}))
+    elif report.matched:
+        print(f"{ns.id}: matched shift={report.shift} compared={report.compared}")
     else:
-        if report.matched:
-            print(f"{ns.id}: matched shift={report.shift} compared={report.compared}")
-        else:
-            mm = report.first_mismatch
-            print(
-                f"{ns.id}: MISMATCH at index {mm.index}: b-file has {mm.expected}, "
-                f"computed {mm.got} (best shift {report.shift})"
-            )
+        mm = report.first_mismatch
+        print(f"{ns.id}: MISMATCH at index {mm.index}: b-file has {_text(mm.expected)}, "
+              f"computed {_text(mm.got)} (best shift {report.shift})")
     return 0 if report.matched else 1
 
 
@@ -537,10 +548,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        # A subcommand's int/str conversions are its rendering (all three
-        # formats) and its parsing of input; both must be exact at any size.
-        with unlimited_int_digits():
-            return ns.func(ns)
+        return ns.func(ns)
     except (oeis.FetchError, oeis.BFileError, OSError) as exc:
         print(f"gapseq: error: {exc}", file=sys.stderr)
         return 1

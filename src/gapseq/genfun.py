@@ -25,7 +25,7 @@ from math import lcm
 from operator import mul
 from typing import Callable, Iterator, Sequence, TypeVar, Union
 
-from ._decimal import exact, to_decimal
+from ._decimal import exact, int_to_str, str_to_int, to_decimal
 from .gaps import gap_sequence, gap_sum_signed_between
 from .sequences import Horadam
 
@@ -314,13 +314,8 @@ def _poly_to_text(coeffs: Sequence[int]) -> str:
     for power, c in enumerate(coeffs):
         if c == 0:
             continue
-        magnitude = abs(c)
-        if power == 0:
-            body = str(magnitude)
-        elif power == 1:
-            body = "x" if magnitude == 1 else f"{magnitude}x"
-        else:
-            body = f"x^{power}" if magnitude == 1 else f"{magnitude}x^{power}"
+        x = "" if power == 0 else "x" if power == 1 else f"x^{power}"
+        body = x if x and abs(c) == 1 else int_to_str(abs(c)) + x
         if not parts:
             parts.append(f"-{body}" if c < 0 else body)
         else:
@@ -343,7 +338,7 @@ def _poly_from_text(text: str) -> Poly:
         if not m or (m.group(2) is None and m.group(3) is None):
             raise ValueError(f"cannot parse polynomial term {part!r}")
         sign = -1 if m.group(1) == "-" else 1
-        magnitude = int(m.group(2)) if m.group(2) is not None else 1
+        magnitude = str_to_int(m.group(2)) if m.group(2) is not None else 1
         if m.group(3) is None:
             power = 0
         else:

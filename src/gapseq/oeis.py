@@ -4,7 +4,8 @@ A b-file is the OEIS per-sequence term listing: one ``<index> <value>``
 pair per line, ``#`` comments and blank lines allowed, indices contiguous.
 Cross-checking aligns a computed value list against the entries while
 tolerating a bounded start offset, because published listings rarely
-agree on where index 0 sits.
+agree on where index 0 sits. Values of any length parse and render
+exactly, and the interpreter's int/str digit limit is left as it is.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from ._intdigits import unlimited_int_digits
+from ._decimal import int_to_str, str_to_int
 
 A_NUMBER = re.compile(r"\AA\d{6}\Z")
 _BFILE_URL = "https://oeis.org/{seq_id}/b{digits}.txt"
@@ -87,7 +88,7 @@ def parse_bfile(text: Union[str, bytes], seq_id: str = "") -> BFile:
     One leading byte-order mark is ignored. Raises BFileError for bytes
     that are not UTF-8, and with the offending line number for malformed
     lines and for index sequences that jump or repeat. Values of any
-    length parse exactly.
+    length parse exactly, past the int/str digit limit as ``[+-]?[0-9]+``.
     """
     if isinstance(text, bytes):
         # Plain utf-8, not utf-8-sig, so the error offset indexes the raw bytes.
@@ -98,29 +99,28 @@ def parse_bfile(text: Union[str, bytes], seq_id: str = "") -> BFile:
             raise BFileError(f"line {lineno}: byte {text[exc.start]:#04x} is not UTF-8") from None
     text = text.removeprefix("\ufeff")
     entries: list[tuple[int, int]] = []
-    with unlimited_int_digits():
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise BFileError(f"line {lineno}: expected '<index> <value>', got {raw!r}")
-            try:
-                index, value = int(fields[0]), int(fields[1])
-            except ValueError as exc:
-                raise BFileError(f"line {lineno}: non-integer field in {raw!r}") from exc
-            if entries and index != entries[-1][0] + 1:
-                raise BFileError(
-                    f"line {lineno}: index {index} is not contiguous after {entries[-1][0]}"
-                )
-            entries.append((index, value))
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise BFileError(f"line {lineno}: expected '<index> <value>', got {raw!r}")
+        try:
+            index, value = int(fields[0]), str_to_int(fields[1])
+        except ValueError as exc:
+            raise BFileError(f"line {lineno}: non-integer field in {raw!r}") from exc
+        if entries and index != entries[-1][0] + 1:
+            raise BFileError(
+                f"line {lineno}: index {index} is not contiguous after {entries[-1][0]}"
+            )
+        entries.append((index, value))
     return BFile(seq_id=seq_id, entries=tuple(entries))
 
 
 def render_bfile(bfile: BFile) -> str:
     """Canonical text form: one ``<index> <value>`` line per entry."""
-    return "".join(f"{index} {value}\n" for index, value in bfile.entries)
+    return "".join(f"{index} {int_to_str(value)}\n" for index, value in bfile.entries)
 
 
 def cross_check(values: Sequence[int], bfile: BFile, max_shift: int = 4) -> CheckReport:
@@ -138,11 +138,11 @@ def cross_check(values: Sequence[int], bfile: BFile, max_shift: int = 4) -> Chec
         raise BFileError(f"b-file {bfile.seq_id or '<anonymous>'} has no entries")
     entries = bfile.entries
     best: Optional[tuple[int, int, int, Mismatch]] = None
-    for shift in sorted(range(-max_shift, max_shift + 1), key=lambda s: (abs(s), s < 0)):
+    # Only shifts in (-len(values), len(entries)) overlap, however large max_shift is.
+    shifts = range(max(-max_shift, 1 - len(values)), min(max_shift, len(entries) - 1) + 1)
+    for shift in sorted(shifts, key=lambda s: (abs(s), s < 0)):
         lo = max(0, -shift)
         hi = min(len(values), len(entries) - shift)
-        if lo >= hi:
-            continue
         mismatch = None
         agreed = 0
         for j in range(lo, hi):

@@ -18,7 +18,7 @@ from itertools import accumulate, compress
 from math import comb, isqrt
 from typing import TypeVar, Union
 
-from ._decimal import exact, to_decimal
+from ._decimal import exact, int_to_str, to_decimal
 
 N = TypeVar("N")  # int, or an exact Decimal integer
 
@@ -79,7 +79,8 @@ class Polynomial:
         for n in range(degree + 1):
             v = sum((c * n**i for i, c in enumerate(coeffs)), start=Fraction(0))
             if v.denominator != 1:
-                raise SpecError(f"polynomial is not integer-valued: p({n}) = {v}")
+                raise SpecError(f"polynomial is not integer-valued: p({n}) = "
+                                f"{int_to_str(v.numerator)}/{int_to_str(v.denominator)}")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from gapseq.sequences import (
     terms,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, HAS_DIGIT_LIMIT, int_digit_limit
 
 
 def run_ok(capsys, argv):
@@ -488,14 +488,8 @@ class TestCheckOeis:
 
 def _without_digit_limit(func, *args):
     """func(*args) with Python's int/str digit limit lifted (3.11+)."""
-    if not hasattr(sys, "set_int_max_str_digits"):
+    with int_digit_limit(0):
         return func(*args)
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return func(*args)
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 class TestOutputBeyond4300Digits:
@@ -553,6 +547,98 @@ class TestOutputBeyond4300Digits:
              "--bfile", str(path), "--count", "12"],
         )
         assert out == "A999999: matched shift=0 compared=12\n"
+
+
+class TestDigitLimit:
+    """Output and b-file input are exact without gapseq ever changing the
+    interpreter's int/str digit limit, and the same under every limit."""
+
+    PRODUCTS = [gap_product(Geometric(2), n) for n in range(12)]
+
+    def _texts(self, values):
+        with int_digit_limit(0):
+            return [str(v) for v in values]
+
+    def _mismatch_bfile(self, tmp_path):
+        """The products as a b-file, the last replaced by 5000 sevens."""
+        lines = [f"{n} {t}" for n, t in enumerate(self._texts(self.PRODUCTS[:11]))]
+        path = tmp_path / "b999999.txt"
+        path.write_text("\n".join(lines + ["11 " + "7" * 5000]) + "\n")
+        return path
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_long_output_leaves_the_limit_alone(self, capsys, limit_untouched, fmt):
+        texts = self._texts(self.PRODUCTS)
+        want = {
+            "text": " ".join(texts) + "\n",
+            "csv": "n,value\n" + "".join(f"{n},{t}\n" for n, t in enumerate(texts)),
+            "json": '{"command": "gapprod", "spec": "geom:2", "values": ['
+                    + ", ".join(texts) + '], "start": 0}\n',
+        }[fmt]
+        argv = ["gapprod", "--spec", "geom:2", "--count", "12", "--format", fmt]
+        assert run_ok(capsys, argv) == want
+        assert len(texts[-1]) > 4300
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_long_mismatch_report_leaves_the_limit_alone(self, capsys, tmp_path, limit_untouched,
+                                                         fmt):
+        got = self._texts(self.PRODUCTS)[11]
+        argv = ["check-oeis", "--spec", "geom:2", "--kind", "gapprod", "--id", "A999999",
+                "--bfile", str(self._mismatch_bfile(tmp_path)), "--count", "12", "--format", fmt]
+        assert run(argv) == 1
+        want = {
+            "text": f"A999999: MISMATCH at index 11: b-file has {'7' * 5000}, computed {got} "
+                    "(best shift 0)\n",
+            "json": '{"command": "check-oeis", "id": "A999999", "spec": "geom:2", "kind": '
+                    '"gapprod", "matched": false, "shift": 0, "compared": 12, "first_mismatch": '
+                    f'{{"index": 11, "expected": {"7" * 5000}, "got": {got}}}}}\n',
+        }[fmt]
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("argv", [
+        ["gapprod", "--spec", "geom:2", "--count", "12", "--format", "text"],
+        ["gapprod", "--spec", "geom:2", "--count", "12", "--format", "csv"],
+        ["gapprod", "--spec", "geom:2", "--count", "12", "--format", "json"],
+        ["terms", "--spec", "poly:0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
+         "0,0,0,0,0,0,0,0,0,0,0," + "7" * 600, "--count", "300", "--format", "csv"],
+        ["gaps", "--spec", "geom:1" + "0" * 600, "--count", "9", "--format", "csv"],
+        ["gaps", "--spec", "horadam:0,-1,1" + "0" * 600 + ",0", "--count", "9",
+         "--format", "json"],
+        ["fc", "--p", "1", "--m", "20000", "--format", "text"],
+        ["raney", "--p", "2", "--r", "3", "--n", "9000", "--format", "json"],
+        ["check-identity", "--fc", "3000,2", "--format", "text"],
+        ["check-identity", "--raney", "3000,2,3", "--format", "json"],
+        ["gf", "--horadam", "0,1," + "9" * 600 + ",1", "--square", "--format", "json"],
+        ["gf", "--horadam", "0,1," + "9" * 600 + ",1", "--square", "--format", "text"],
+        ["expand", "--num", "1/3,2", "--den", "1,-" + "9" * 600 + "/7", "--count", "10",
+         "--format", "json"],
+    ])
+    def test_same_bytes_under_the_least_limit(self, capsys, argv):
+        with int_digit_limit(0):
+            want = run_ok(capsys, argv)
+        with int_digit_limit(640):
+            assert run_ok(capsys, argv) == want
+        assert max(map(len, want.replace(",", " ").split())) > 640
+
+    def test_same_mismatch_report_under_the_least_limit(self, capsys, tmp_path):
+        argv = ["check-oeis", "--spec", "geom:2", "--kind", "gapprod", "--id", "A999999",
+                "--bfile", str(self._mismatch_bfile(tmp_path)), "--format", "json"]
+        with int_digit_limit(0):
+            assert run(argv) == 1
+            want = capsys.readouterr()
+        with int_digit_limit(640):
+            assert run(argv) == 1
+            assert capsys.readouterr() == want
+
+    @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="Python 3.10 has no int/str digit limit")
+    @pytest.mark.parametrize("spec", ["explicit:" + "5" * 5000 + ",1", "linear:1," + "5" * 5000],
+                             ids=["explicit", "linear"])
+    def test_spec_numbers_past_the_limit_are_spec_errors(self, capsys, spec):
+        with int_digit_limit(4300):
+            assert run(["terms", "--spec", spec, "--count", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "gapseq: error: expected an integer" in err
+        assert "gapseq: spec grammar:" in err
 
 
 class TestUsageErrors:

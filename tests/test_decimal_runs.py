@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapseq.cli as cli
-from gapseq._decimal import _DIRECT_BITS, exact, to_decimal
-from gapseq._intdigits import unlimited_int_digits
+from gapseq._decimal import _DIRECT_BITS, exact, int_to_str, str_to_int, to_decimal
 from gapseq.cli import run
 from gapseq.gaps import (
     decimal_gap_sequence,
@@ -37,6 +36,8 @@ from gapseq.genfun import (
 )
 from gapseq.sequences import FIBONACCI, Geometric, Horadam, Linear, Primes, decimal_terms, terms
 
+from conftest import HAS_DIGIT_LIMIT, int_digit_limit, sized_ints
+
 GAP_SUMS = (gap_sum_between, gap_sum_signed_between, gap_sum_abs_between)
 GF_BUILDERS = (horadam_gf, horadam_shift_gf, horadam_square_gf, horadam_shift_square_gf,
                horadam_gap_sum_gf)
@@ -50,7 +51,8 @@ starts = st.one_of(st.integers(0, 40), st.integers(0, 5000))
 
 
 def texts(values):
-    with unlimited_int_digits():
+    """The builtin str of each value, as the reference, lifting the limit here only."""
+    with int_digit_limit(0):
         return [str(v) for v in values]
 
 
@@ -78,6 +80,45 @@ class TestToDecimal:
     def test_zero_has_no_sign(self):
         assert to_decimal(0).as_tuple() == Decimal(0).as_tuple()
         assert to_decimal(-0).as_tuple().sign == 0
+
+
+class TestIntText:
+    """int_to_str and str_to_int are str and int with the digit limit
+    lifted, under whatever limit is set."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sized_ints(), st.sampled_from([640, 4300]))
+    def test_int_to_str_is_str(self, n, limit):
+        with int_digit_limit(0):
+            want = str(n)
+        with int_digit_limit(limit):
+            assert int_to_str(n) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(sized_ints(), st.sampled_from(["", "+"]), st.integers(0, 3),
+           st.sampled_from([640, 4300]))
+    def test_str_to_int_is_int(self, n, plus, zeros, limit):
+        with int_digit_limit(0):
+            text = ("-" if n < 0 else plus) + "0" * zeros + str(abs(n))
+        with int_digit_limit(limit):
+            assert str_to_int(text) == n
+
+    def test_within_the_limit_it_is_int(self):
+        texts = ["+5", "-5", "1_000", " 7\n", "\u0663", "0" * 600 + "1"]
+        assert [str_to_int(t) for t in texts] == [5, -5, 1000, 7, 3, 1]
+
+    @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="Python 3.10 has no int/str digit limit")
+    @pytest.mark.parametrize("text", [
+        "1_" + "0" * 5000,
+        "\u0663" * 5000,
+        "--" + "1" * 5000,
+        "+-" + "1" * 5000,
+        " " + "1" * 5000,
+        "1" * 5000 + "x",
+    ])
+    def test_past_the_limit_only_ascii_digits(self, text):
+        with int_digit_limit(4300), pytest.raises(ValueError):
+            str_to_int(text)
 
 
 class TestDecimalTerms:
@@ -210,6 +251,20 @@ class TestChunkedWriter:
         monkeypatch.setattr(cli, "_WRITE_CHARS", 7)
         assert run(argv) == 0
         assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("argv", [
+        ["gapprod", "--spec", "geom:2", "--count", "12"],
+        ["expand", "--num", "1,2", "--den", "1,-" + "9" * 600 + "/7", "--count", "12"],
+        ["gaps", "--spec", "horadam:0,-1,1" + "0" * 600 + ",0", "--count", "10"],
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_small_writes_past_the_digit_limit(self, capsys, monkeypatch, argv, fmt):
+        assert run(argv + ["--format", fmt]) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_WRITE_CHARS", 7)
+        assert run(argv + ["--format", fmt]) == 0
+        assert capsys.readouterr().out == want
+        assert max(map(len, want.replace(",", " ").split())) > 4300
 
     @pytest.mark.parametrize("fmt, want", [
         ("text", "\n"),

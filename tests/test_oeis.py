@@ -6,7 +6,7 @@ import urllib.request
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapseq.oeis as oeis
@@ -24,7 +24,7 @@ from gapseq.oeis import (
 )
 from gapseq.sequences import FIBONACCI, Geometric, Polynomial, Primes
 
-from conftest import load_fixture
+from conftest import HAS_DIGIT_LIMIT, int_digit_limit, load_fixture, sized_ints
 
 
 def bfile_of(values, start=0, seq_id="A000000") -> BFile:
@@ -116,6 +116,45 @@ class TestParse:
         text = "3 10\n4 20\n5 -30\n"
         assert render_bfile(parse_bfile(text)) == text
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-3, 3), st.lists(sized_ints(), min_size=1, max_size=3))
+    def test_round_trip_at_any_length(self, start, values):
+        bf = bfile_of(values, start)
+        assert parse_bfile(render_bfile(bf), bf.seq_id) == bf
+
+    def test_short_fields_keep_int_syntax(self):
+        assert parse_bfile("0 +5\n1 1_000\n2 -0\n").entries == ((0, 5), (1, 1000), (2, 0))
+
+    def test_long_signed_values(self):
+        bf = parse_bfile("0 -" + "9" * 5000 + "\n1 +" + "0" * 4999 + "1\n")
+        assert bf.values == [1 - 10**5000, 1]
+
+    @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="Python 3.10 has no int/str digit limit")
+    def test_long_field_with_underscore_is_a_bfile_error(self):
+        with int_digit_limit(4300), pytest.raises(BFileError, match="line 2: non-integer field"):
+            parse_bfile("0 1\n1 1_" + "0" * 5000 + "\n")
+
+    def test_long_values_parse_in_threads_under_the_limit(self, limit_untouched):
+        digits = 5000
+        text = b"".join(b"%d %s\n" % (i, str(i + 1).encode() * digits) for i in range(3))
+        want = [(i + 1) * (10**digits - 1) // 9 for i in range(3)]
+        errors = []
+
+        def worker():
+            try:
+                for _ in range(10):
+                    assert parse_bfile(text).values == want
+            except Exception as exc:  # collected and asserted on below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
 
 class TestCrossCheck:
     def test_identity_alignment_any_max_shift(self):
@@ -153,6 +192,37 @@ class TestCrossCheck:
         constant = [7] * 6
         report = cross_check(constant, bfile_of(constant), 4)
         assert report.shift == 0
+
+    def test_max_shift_beyond_both_lengths(self):
+        values = [5, 6, 7, 8]
+        report = cross_check(values, bfile_of(values), 10**12)
+        assert report.matched and report.shift == 0 and report.compared == 4
+
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=6),
+           st.lists(st.integers(0, 2), min_size=1, max_size=6), st.integers(0, 12))
+    def test_same_outcome_as_trying_every_shift(self, values, expected, max_shift):
+        bf = bfile_of(expected, start=3)
+        # Every shift in -max_shift..max_shift, smallest |s| first and s >= 0
+        # first on ties; the first full agreement wins, else the longest.
+        best = None
+        for shift in sorted(range(-max_shift, max_shift + 1), key=lambda s: (abs(s), s < 0)):
+            pairs = [(values[j], bf.entries[j + shift]) for j in range(len(values))
+                     if 0 <= j + shift < len(expected)]
+            if not pairs:
+                continue
+            agreed = next((i for i, (v, (_, e)) in enumerate(pairs) if v != e), len(pairs))
+            if agreed == len(pairs):
+                best = (True, shift, len(pairs), None)
+                break
+            if best is None or agreed > best[3][0]:
+                index, e = pairs[agreed][1]
+                best = (False, shift, len(pairs), (agreed, Mismatch(index, e, pairs[agreed][0])))
+        report = cross_check(values, bf, max_shift)
+        assert best is not None  # shift 0 always overlaps
+        matched, shift, compared, mismatch = best
+        assert (report.matched, report.shift, report.compared) == (matched, shift, compared)
+        assert report.first_mismatch == (mismatch[1] if mismatch else None)
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
