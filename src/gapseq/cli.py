@@ -6,6 +6,10 @@ Raney numbers, identity checks, reference-table reproduction, and OEIS
 b-file cross-checks. Exit codes: 0 success or match, 1 mismatch or
 failed check, 2 usage error.
 
+``_COMMANDS`` is the one place a subcommand is declared: its help, its
+handler and the functions that add its arguments. A run builds only the
+parser of the subcommand it names; help and unknown commands build all.
+
 ``terms``, ``gapsum``, ``gf --expand`` and ``expand`` print values from
 exact Decimal runs (``decimal_terms``, ``decimal_gap_sequence``,
 ``decimal_expansion``): their values grow exponentially, and ``str`` of
@@ -23,6 +27,7 @@ import json
 # argparse imports these on its first use, in run(): shutil when build_parser
 # makes a help formatter, and locale (through gettext) for its first message.
 import locale  # noqa: F401
+import os
 import shutil  # noqa: F401
 import sys
 from decimal import Decimal
@@ -272,17 +277,16 @@ def _emit_scalar(ns: argparse.Namespace, payload: dict, value: Value) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its exit code, or None for 0
 
 
-def _cmd_terms(ns: argparse.Namespace) -> int:
+def _cmd_terms(ns: argparse.Namespace) -> None:
     spec = parse_spec(ns.spec)
     values = decimal_terms(spec, ns.start, ns.count)
     _emit_indexed(ns, {"command": "terms", "spec": ns.spec}, values, ns.start)
-    return 0
 
 
-def _cmd_gaps(ns: argparse.Namespace) -> int:
+def _cmd_gaps(ns: argparse.Namespace) -> None:
     spec = parse_spec(ns.spec)
     gaps = enumerate(gap_sequence(gap_between, spec, ns.count))
     write = sys.stdout.write
@@ -303,7 +307,6 @@ def _cmd_gaps(ns: argparse.Namespace) -> int:
             write(f"{n} {_text(g.start)} {_text(g.length)} " + ("" if g.length else "-"))
             _write_joined(g.elements, ",")
             write("\n")
-    return 0
 
 
 # gapsum kinds: the first is the default and has no flag.
@@ -314,18 +317,16 @@ _GAP_SUMS: dict[str, Callable[[int, int], int]] = {
 }
 
 
-def _cmd_gapsum(ns: argparse.Namespace) -> int:
+def _cmd_gapsum(ns: argparse.Namespace) -> None:
     spec = parse_spec(ns.spec)
     values = decimal_gap_sequence(_GAP_SUMS[ns.kind], spec, ns.count)
     _emit_indexed(ns, {"command": "gapsum", "spec": ns.spec, "kind": ns.kind}, values)
-    return 0
 
 
-def _cmd_gapprod(ns: argparse.Namespace) -> int:
+def _cmd_gapprod(ns: argparse.Namespace) -> None:
     spec = parse_spec(ns.spec)
     values = gap_sequence(gap_product_between, spec, ns.count)
     _emit_indexed(ns, {"command": "gapprod", "spec": ns.spec}, values)
-    return 0
 
 
 _GF_BUILDERS: dict[str, Callable[[Horadam], RatFunc]] = {
@@ -337,7 +338,7 @@ _GF_BUILDERS: dict[str, Callable[[Horadam], RatFunc]] = {
 }
 
 
-def _cmd_gf(ns: argparse.Namespace) -> int:
+def _cmd_gf(ns: argparse.Namespace) -> None:
     spec = Horadam(*ns.horadam)
     f = _GF_BUILDERS[ns.kind](spec)
     expansion = decimal_expansion(f, ns.expand) if ns.expand is not None else None
@@ -356,25 +357,21 @@ def _cmd_gf(ns: argparse.Namespace) -> int:
             print(ratfunc_to_text(f))
         if expansion is not None:
             _emit_indexed(ns, {}, expansion)
-    return 0
 
 
-def _cmd_expand(ns: argparse.Namespace) -> int:
+def _cmd_expand(ns: argparse.Namespace) -> None:
     f = RatFunc(Poly(ns.num), Poly(ns.den))
     values = decimal_expansion(f, ns.count)
     _emit_indexed(ns, {"command": "expand", "text": ratfunc_to_text(f)}, values)
-    return 0
 
 
-def _cmd_fc(ns: argparse.Namespace) -> int:
+def _cmd_fc(ns: argparse.Namespace) -> None:
     _emit_scalar(ns, {"command": "fc", "p": ns.p, "m": ns.m}, fuss_catalan(ns.p, ns.m))
-    return 0
 
 
-def _cmd_raney(ns: argparse.Namespace) -> int:
+def _cmd_raney(ns: argparse.Namespace) -> None:
     value = raney(ns.p, ns.r, ns.n)
     _emit_scalar(ns, {"command": "raney", "p": ns.p, "r": ns.r, "n": ns.n}, value)
-    return 0
 
 
 def _cmd_check_identity(ns: argparse.Namespace) -> int:
@@ -405,13 +402,12 @@ _TABLE_BUILDERS: dict[str, Callable[[], list[tables.RefTable]]] = {
 }
 
 
-def _cmd_table(ns: argparse.Namespace) -> int:
+def _cmd_table(ns: argparse.Namespace) -> None:
     built = _TABLE_BUILDERS[ns.name]()
     if ns.format == "json":
         print(json.dumps([dataclasses.asdict(t) for t in built]))
     else:
         print("\n".join(tables.render_table(t) for t in built), end="")
-    return 0
 
 
 # check-oeis kinds: the statistic of each consecutive pair, or None for the terms.
@@ -452,103 +448,107 @@ def _cmd_check_oeis(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
-
-def _add_kind_flags(p: argparse.ArgumentParser, kinds: Iterable[str]) -> None:
-    """One mutually exclusive ``--KIND`` flag per kind, each storing it in ns.kind."""
-    group = p.add_mutually_exclusive_group()
-    for kind in kinds:
-        group.add_argument(f"--{kind}", dest="kind", action="store_const", const=kind)
+Adder = Callable[[argparse.ArgumentParser], object]  # adds arguments to a parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _argument(*flags: str, **kw: object) -> Adder:
+    """A function calling ``p.add_argument(*flags, **kw)`` on the parser p it is given."""
+    return lambda p: p.add_argument(*flags, **kw)
+
+
+def _one_of(*args: Adder, required: bool = False) -> Adder:
+    """A function adding args to the parser it is given as one mutually exclusive group."""
+    def add(p: argparse.ArgumentParser) -> None:
+        group = p.add_mutually_exclusive_group(required=required)
+        for add_arg in args:
+            add_arg(group)
+    return add
+
+
+def _kind_flags(kinds: Iterable[str], default: str) -> tuple[Adder, Adder]:
+    """Mutually exclusive ``--KIND`` flags, each storing its kind in ns.kind (else default)."""
+    flags = [_argument(f"--{k}", dest="kind", action="store_const", const=k) for k in kinds]
+    return _one_of(*flags), lambda p: p.set_defaults(kind=default)
+
+
+_FORMAT = _argument("--format", choices=("text", "json"), default="text")
+# csv is offered only where the output is a table of rows.
+_FORMAT_CSV = _argument("--format", choices=("text", "json", "csv"), default="text")
+_SPEC = _argument("--spec", required=True)
+_COUNT = _argument("--count", type=_nonneg, required=True)
+
+# name -> (help, handler, then the functions adding its arguments in order)
+_COMMANDS: dict[str, tuple] = {
+    "terms": ("sequence terms", _cmd_terms, _FORMAT_CSV, _SPEC, _COUNT,
+              _argument("--from", dest="start", type=_nonneg, default=0)),
+    "gaps": ("gap start/length/elements", _cmd_gaps, _FORMAT_CSV, _SPEC, _COUNT),
+    "gapsum": ("gap-sum sequence", _cmd_gapsum, _FORMAT_CSV, _SPEC, _COUNT,
+               *_kind_flags(list(_GAP_SUMS)[1:], "clamped")),
+    "gapprod": ("gap-product sequence", _cmd_gapprod, _FORMAT_CSV, _SPEC, _COUNT),
+    "gf": ("Horadam generating functions", _cmd_gf, _FORMAT_CSV,
+           _argument("--horadam", type=_int_list(4), required=True, metavar="A,B,R,S"),
+           *_kind_flags(_GF_BUILDERS, "plain"),
+           _argument("--expand", type=_nonneg, default=None, metavar="N")),
+    "expand": ("expand num/den coefficient lists", _cmd_expand, _FORMAT_CSV,
+               _argument("--num", type=_coeff_list, required=True, metavar="C0,C1,..."),
+               _argument("--den", type=_coeff_list, required=True, metavar="C0,C1,..."),
+               _COUNT),
+    "fc": ("Fuss-Catalan number", _cmd_fc, _FORMAT,
+           _argument("--p", type=_nonneg, required=True),
+           _argument("--m", type=_nonneg, required=True)),
+    "raney": ("Raney number", _cmd_raney, _FORMAT,
+              _argument("--p", type=_nonneg, required=True),
+              _argument("--r", type=_positive, required=True),
+              _argument("--n", type=_nonneg, required=True)),
+    "check-identity": ("verify product identities", _cmd_check_identity, _FORMAT,
+                       _one_of(_argument("--fc", type=_int_list(2), metavar="K,N"),
+                               _argument("--raney", type=_int_list(3), metavar="K,R,N"),
+                               required=True)),
+    "table": ("reproduce a reference table", _cmd_table, _FORMAT,
+              _argument("name", choices=sorted(_TABLE_BUILDERS))),
+    "check-oeis": ("cross-check against a b-file", _cmd_check_oeis, _FORMAT, _SPEC,
+                   _argument("--kind", choices=sorted(_KIND_FUNCS), required=True),
+                   _argument("--id", type=_a_number, required=True),
+                   _one_of(_argument("--bfile", metavar="PATH"),
+                           _argument("--fetch", action="store_true"), required=True),
+                   _argument("--max-shift", type=_nonneg, default=4),
+                   _argument("--count", type=_nonneg, default=None)),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone. The top level takes
+    only -h, so an argv that starts with ``command`` parses alike in both."""
     parser = argparse.ArgumentParser(
         prog="gapseq",
         description="Exact gap-sum and gap-product sequence toolkit.",
         epilog=f"sequence spec grammar: {_GRAMMAR}",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    # csv is offered only where the output is a table of rows.
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("text", "json"), default="text")
-    fmt_csv = argparse.ArgumentParser(add_help=False)
-    fmt_csv.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    seq = argparse.ArgumentParser(add_help=False)
-    seq.add_argument("--spec", required=True)
-    seq.add_argument("--count", type=_nonneg, required=True)
-
-    p = sub.add_parser("terms", parents=[fmt_csv, seq], help="sequence terms")
-    p.add_argument("--from", dest="start", type=_nonneg, default=0)
-    p.set_defaults(func=_cmd_terms)
-
-    p = sub.add_parser("gaps", parents=[fmt_csv, seq], help="gap start/length/elements")
-    p.set_defaults(func=_cmd_gaps)
-
-    p = sub.add_parser("gapsum", parents=[fmt_csv, seq], help="gap-sum sequence")
-    _add_kind_flags(p, list(_GAP_SUMS)[1:])
-    p.set_defaults(func=_cmd_gapsum, kind="clamped")
-
-    p = sub.add_parser("gapprod", parents=[fmt_csv, seq], help="gap-product sequence")
-    p.set_defaults(func=_cmd_gapprod)
-
-    p = sub.add_parser("gf", parents=[fmt_csv], help="Horadam generating functions")
-    p.add_argument("--horadam", type=_int_list(4), required=True, metavar="A,B,R,S")
-    _add_kind_flags(p, _GF_BUILDERS)
-    p.add_argument("--expand", type=_nonneg, default=None, metavar="N")
-    p.set_defaults(func=_cmd_gf, kind="plain")
-
-    p = sub.add_parser("expand", parents=[fmt_csv], help="expand num/den coefficient lists")
-    p.add_argument("--num", type=_coeff_list, required=True, metavar="C0,C1,...")
-    p.add_argument("--den", type=_coeff_list, required=True, metavar="C0,C1,...")
-    p.add_argument("--count", type=_nonneg, required=True)
-    p.set_defaults(func=_cmd_expand)
-
-    p = sub.add_parser("fc", parents=[fmt], help="Fuss-Catalan number")
-    p.add_argument("--p", type=_nonneg, required=True)
-    p.add_argument("--m", type=_nonneg, required=True)
-    p.set_defaults(func=_cmd_fc)
-
-    p = sub.add_parser("raney", parents=[fmt], help="Raney number")
-    p.add_argument("--p", type=_nonneg, required=True)
-    p.add_argument("--r", type=_positive, required=True)
-    p.add_argument("--n", type=_nonneg, required=True)
-    p.set_defaults(func=_cmd_raney)
-
-    p = sub.add_parser("check-identity", parents=[fmt], help="verify product identities")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--fc", type=_int_list(2), metavar="K,N")
-    group.add_argument("--raney", type=_int_list(3), metavar="K,R,N")
-    p.set_defaults(func=_cmd_check_identity)
-
-    p = sub.add_parser("table", parents=[fmt], help="reproduce a reference table")
-    p.add_argument("name", choices=sorted(_TABLE_BUILDERS))
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("check-oeis", parents=[fmt], help="cross-check against a b-file")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--kind", choices=sorted(_KIND_FUNCS), required=True)
-    p.add_argument("--id", type=_a_number, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--bfile", metavar="PATH")
-    group.add_argument("--fetch", action="store_true")
-    p.add_argument("--max-shift", type=_nonneg, default=4)
-    p.add_argument("--count", type=_nonneg, default=None)
-    p.set_defaults(func=_cmd_check_oeis)
-
+    for name in _COMMANDS if command is None else [command]:
+        help_, _, *adders = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for add in adders:
+            add(p)
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, execute one subcommand, and return the exit code."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:  # argparse exits 0 after help and 2 on a usage error
+        return exc.code if isinstance(exc.code, int) else 2
     try:
-        return ns.func(ns)
+        code = _COMMANDS[ns.command][1](ns) or 0
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: send the rest to devnull, as Python's signal docs advise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (oeis.FetchError, oeis.BFileError, OSError) as exc:
         print(f"gapseq: error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,7 @@ descents), and ``gap_sum_abs`` sums a_n + j over j = 1 .. |a_(n+1)-a_n-1|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Callable, TypeVar
 
 from ._decimal import exact
@@ -135,10 +135,7 @@ def product_range(lo: int, hi: int) -> int:
     """
     n = hi - lo
     if n <= 64:
-        out = 1
-        for v in range(lo, hi):
-            out *= v
-        return out
+        return prod(range(lo, hi))
     mid = lo + n // 2
     return product_range(lo, mid) * product_range(mid, hi)
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import json
 import math
@@ -427,6 +428,7 @@ class TestCheckOeis:
              "--bfile", "/no/such/file"]
         )
         assert rc == 1
+        assert capsys.readouterr().err.startswith("gapseq: error: [Errno 2] ")
 
     def test_bad_id_usage_error(self, capsys):
         rc = run(
@@ -703,13 +705,17 @@ class TestEntryPoint:
     """``python -m gapseq.cli`` goes through main(), which exits with run()'s code."""
 
     @staticmethod
-    def _main(*argv):
+    def _env():
         src = Path(gapseq.__file__).resolve().parent.parent
+        return dict(os.environ, PYTHONPATH=str(src))
+
+    @classmethod
+    def _main(cls, *argv):
         return subprocess.run(
             [sys.executable, "-m", "gapseq.cli", *argv],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=str(src)),
+            env=cls._env(),
             timeout=60,
         )
 
@@ -730,6 +736,136 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert f"gapseq: spec grammar: {cli._GRAMMAR}\n" in proc.stderr
+
+    def test_closed_stdout_exits_one_quietly(self):
+        # About 2 MB of output: far more than a pipe holds, so writes fail once
+        # the reader has gone, as with `gapseq terms ... | head -c 20`.
+        with subprocess.Popen(
+            [sys.executable, "-m", "gapseq.cli", "terms", "--spec", "linear:1,0",
+             "--count", "300000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=self._env(),
+        ) as proc:
+            assert proc.stdout.read(20) == b"0 1 2 3 4 5 6 7 8 9 "
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1
+            assert proc.stderr.read() == b""
+
+
+# Valid argument lists for each subcommand, after its name.
+_VALID_ARGS = {
+    "terms": [["--spec", "fib", "--count", "3"],
+              ["--spec", "fib", "--count", "3", "--from", "2", "--format", "csv"]],
+    "gaps": [["--spec", "primes", "--count", "4", "--format", "json"]],
+    "gapsum": [["--spec", "fold", "--count", "3"], ["--spec", "fib", "--count", "3", "--signed"],
+               ["--abs", "--spec", "fib", "--count", "3"]],
+    "gapprod": [["--spec", "linear:3,1", "--count", "6", "--format", "text"]],
+    "gf": [["--horadam", "1,1,1,1"],
+           ["--horadam", "2,1,1,1", "--square-shift", "--expand", "5", "--format", "csv"]],
+    "expand": [["--num", "1/2,1", "--den", "1,-1/3", "--count", "6"]],
+    "fc": [["--p", "3", "--m", "4", "--format", "json"]],
+    "raney": [["--p", "3", "--r", "2", "--n", "4"]],
+    "check-identity": [["--fc", "3,4"], ["--raney", "3,2,4", "--format", "json"]],
+    "table": [["figurate"], ["raney", "--format", "json"]],
+    "check-oeis": [["--spec", "fib", "--kind", "terms", "--id", "A000045", "--fetch"],
+                   ["--spec", "fib", "--kind", "gapsum", "--id", "A000045", "--bfile", "b.txt",
+                    "--max-shift", "2", "--count", "5"]],
+}
+
+_USAGE_ERRORS = [
+    ["terms", "--spec", "fib"],
+    ["fc", "--p", "1", "--m", "2", "--format", "csv"],
+    ["gapsum", "--spec", "fib", "--count", "3", "--signed", "--abs"],
+    ["terms", "--spec", "fib", "--count", "3", "extra"],
+    ["terms", "--spec", "fib", "--count", "-1"],
+    ["gf", "--horadam", "1,2"],
+    ["check-identity"],
+    ["table", "nope"],
+    ["check-oeis", "--spec", "fib", "--kind", "terms", "--id", "A000045", "--fetch",
+     "--bfile", "b.txt"],
+]
+
+
+def _subparsers(parser):
+    """The subcommand parsers of parser, by name."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestOneCommandParser:
+    """build_parser(name), which run uses when argv starts with name, parses
+    and reports exactly as the parser of every subcommand does."""
+
+    def test_every_command_has_cases(self):
+        assert set(_VALID_ARGS) == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+    def test_builds_only_its_own_subparser(self, name):
+        assert list(_subparsers(cli.build_parser(name))) == [name]
+
+    @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+    def test_same_help(self, name):
+        one, full = cli.build_parser(name), cli.build_parser()
+        assert one.format_usage() == full.format_usage()
+        assert _subparsers(one)[name].format_help() == _subparsers(full)[name].format_help()
+
+    @pytest.mark.parametrize(
+        "argv", [[name, *args] for name, cases in _VALID_ARGS.items() for args in cases]
+    )
+    def test_same_namespace(self, argv):
+        ns = cli.build_parser(argv[0]).parse_args(argv)
+        assert vars(ns) == vars(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", _USAGE_ERRORS)
+    def test_same_usage_error(self, capsys, argv):
+        reports = []
+        for parser in (cli.build_parser(argv[0]), cli.build_parser()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            reports.append((exc.value.code, capsys.readouterr()))
+        assert reports[0] == reports[1]
+        code, captured = reports[0]
+        assert (code, captured.out) == (2, "")
+        assert "error: " in captured.err
+
+    def test_trailing_argument_is_reported_by_the_top_level(self, capsys):
+        assert run(["terms", "--spec", "fib", "--count", "3", "extra"]) == 2
+        assert capsys.readouterr().err == (
+            "usage: gapseq [-h] command ...\n"
+            "gapseq: error: unrecognized arguments: extra\n"
+        )
+
+    def test_help_lists_every_command(self, capsys):
+        assert run(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert all(f"    {name}" in out for name in cli._COMMANDS)
+
+    def test_unknown_command_lists_every_command(self, capsys):
+        assert run(["frobnicate"]) == 2
+        assert str(tuple(cli._COMMANDS))[1:-1] in capsys.readouterr().err
+
+    def test_run_without_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["gapseq", "fc", "--p", "2", "--m", "3"])
+        assert run() == 0
+        assert capsys.readouterr().out == f"{fuss_catalan(2, 3)}\n"
+        monkeypatch.setattr(sys, "argv", ["gapseq", "table", "--help"])
+        assert run() == 0
+        assert capsys.readouterr().out.startswith("usage: gapseq table ")
+        monkeypatch.setattr(sys, "argv", ["gapseq"])
+        assert run() == 2
+
+    def test_one_command_builds_two_parsers(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(["table", "fc"]) == 0
+        assert len(built) <= 2, built
 
 
 class TestColdStart:
