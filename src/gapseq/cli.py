@@ -115,7 +115,14 @@ def parse_spec(text: str) -> SeqSpec:
     base = text.index(":") + 1
     if name == "poly" and not rest:
         raise SpecParseError("poly needs at least one coefficient", text, base)
-    values = tuple(_arg(a, convert, text) for a in _split_args(rest, base))
+    values, pos = [], base
+    for token in rest.split(","):  # pos: where token starts in text
+        try:
+            values.append(convert(token.strip()))
+        except (ValueError, ZeroDivisionError):
+            noun = "an integer" if convert is int else "a rational"
+            raise SpecParseError(f"expected {noun}, got {token.strip()!r}", text, pos) from None
+        pos += len(token) + 1
     if arities is not None and len(values) not in arities:
         wanted = " or ".join(str(w) for w in arities)
         raise SpecParseError(f"{name} takes {wanted} arguments, got {len(values)}", text, base)
@@ -125,25 +132,7 @@ def parse_spec(text: str) -> SeqSpec:
         raise SpecParseError(str(exc), text, base) from exc
 
 
-def _split_args(rest: str, base: int) -> list[tuple[str, int]]:
-    args: list[tuple[str, int]] = []
-    offset = base
-    for token in rest.split(","):
-        args.append((token.strip(), offset))
-        offset += len(token) + 1
-    return args
-
-
-def _arg(arg: tuple[str, int], convert: type, text: str) -> Union[int, Fraction]:
-    token, pos = arg
-    try:
-        return convert(token)
-    except (ValueError, ZeroDivisionError):
-        noun = "an integer" if convert is int else "a rational"
-        raise SpecParseError(f"expected {noun}, got {token!r}", text, pos) from None
-
-
-# family -> (class, argument counts, or None for one tuple of any length, argument type)
+# family -> (class, argument counts, or None for one list of any length, argument type)
 _FAMILIES: dict[str, tuple[Callable[..., SeqSpec], Optional[tuple[int, ...]], type]] = {
     "linear": (Linear, (2,), int),
     "geom": (Geometric, (1, 2), int),

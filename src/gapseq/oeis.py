@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 from ._decimal import int_to_str, str_to_int
 
-A_NUMBER = re.compile(r"\AA\d{6}\Z")
+A_NUMBER = re.compile(r"\AA[0-9]{6}\Z")  # not \d, which takes any Unicode digit
 _BFILE_URL = "https://oeis.org/{seq_id}/b{digits}.txt"
 _HTTP_TIMEOUT = 30.0
 # The largest response body read; OEIS b-files stay far below it.

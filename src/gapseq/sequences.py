@@ -4,9 +4,9 @@ A sequence spec is a small frozen dataclass describing one family
 (linear, geometric, polynomial, binomial, Horadam recurrence, primes,
 the paper-folding walk, or an explicit list). ``term`` and ``terms``
 evaluate specs without ever leaving exact integer arithmetic.
-``decimal_terms`` gives the same values for printing: Horadam and
-geometric runs grow long, so it steps them on exact Decimals, whose
-``str`` is linear where an int's is quadratic.
+``decimal_terms`` gives the same values for printing: one dispatch serves
+both, and lifts the long-growing Horadam and geometric seeds to exact
+Decimals, whose ``str`` is linear where an int's is quadratic.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
 from math import comb, isqrt
-from typing import TypeVar, Union
+from typing import Callable, TypeVar, Union
 
 from ._decimal import exact, int_to_str, to_decimal
 
@@ -186,6 +186,24 @@ def terms(spec: SeqSpec, n0: int, count: int) -> list[int]:
     recurrence; polynomials step by integer forward differences; primes
     and the folding walk grow their cache once and slice it.
     """
+    return _run(spec, n0, count, int)
+
+
+def decimal_terms(spec: SeqSpec, n0: int, count: int) -> list:
+    """The values of ``terms(spec, n0, count)``, ready to print.
+
+    The same dispatch and loops as ``terms``, with the Horadam and
+    geometric seeds (the O(log n0) Horadam jump, k**n0) lifted to exact
+    Decimals in subquadratic time, so those runs step on Decimals. Every
+    other family returns the ints of ``terms``, whose values stay short.
+    """
+    with exact():
+        return _run(spec, n0, count, to_decimal)
+
+
+def _run(spec: SeqSpec, n0: int, count: int, lift: Callable[[int], N]) -> list:
+    """The one family dispatch of ``terms`` and ``decimal_terms``: lift maps
+    the Horadam and geometric seeds to the number type their run steps on."""
     if n0 < 0:
         raise IndexError(f"sequence index must be >= 0, got {n0}")
     if count < 0:
@@ -197,13 +215,14 @@ def terms(spec: SeqSpec, n0: int, count: int) -> list[int]:
         case Linear(k=k, r=r):
             return [k * n + r for n in range(n0, end)]
         case Geometric(k=k, offset=offset):
-            return _geometric_run(k**n0, k, offset, count)
+            return _geometric_run(lift(k**n0), lift(k), lift(offset), count)
         case Polynomial():
             return _polynomial_run(spec, n0, count)
         case Binomial(shift=shift, lower=lower):
             return [comb(m, lower) for m in range(n0 + shift, end + shift)]
         case Horadam(r=r, s=s):
-            return _horadam_run(*_horadam_pair(spec, n0 + spec.shift), r, s, count)
+            a, b = _horadam_pair(spec, n0 + spec.shift)
+            return _horadam_run(lift(a), lift(b), lift(r), lift(s), count)
         case Primes():
             nth_prime(end - 1)
             return _primes[n0:end]
@@ -216,26 +235,6 @@ def terms(spec: SeqSpec, n0: int, count: int) -> list[int]:
                 raise _explicit_range_error(values, max(n0, len(values)))
             return list(values[n0:end])
     raise TypeError(f"not a sequence spec: {spec!r}")
-
-
-def decimal_terms(spec: SeqSpec, n0: int, count: int) -> list:
-    """The values of ``terms(spec, n0, count)``, ready to print.
-
-    Horadam and geometric terms come back as exact Decimals, stepped by
-    the same loops as ``terms`` from the int seeds it would use (the
-    O(log n0) Horadam jump, k**n0), converted in subquadratic time.
-    Every other family returns ``terms(spec, n0, count)``, whose values
-    stay short.
-    """
-    if not isinstance(spec, (Horadam, Geometric)) or count <= 0 or n0 < 0:
-        return terms(spec, n0, count)
-    with exact():
-        if isinstance(spec, Geometric):
-            k, offset = to_decimal(spec.k), to_decimal(spec.offset)
-            return _geometric_run(to_decimal(spec.k**n0), k, offset, count)
-        a, b = _horadam_pair(spec, n0 + spec.shift)
-        r, s = to_decimal(spec.r), to_decimal(spec.s)
-        return _horadam_run(to_decimal(a), to_decimal(b), r, s, count)
 
 
 def _geometric_run(power: N, k: N, offset: N, count: int) -> list[N]:

@@ -34,6 +34,10 @@ from gapseq.sequences import (
 from conftest import FIXTURES, HAS_DIGIT_LIMIT, int_digit_limit
 
 
+# "A" and the Arabic-Indic digits 1 to 6, which \d matches and an A-number may not hold.
+ARABIC_INDIC_ID = "A\u0661\u0662\u0663\u0664\u0665\u0666"
+
+
 def run_ok(capsys, argv):
     rc = run(argv)
     captured = capsys.readouterr()
@@ -437,6 +441,14 @@ class TestCheckOeis:
         )
         assert rc == 2
 
+    def test_non_ascii_digits_in_id_usage_error(self, capsys):
+        rc = run(
+            ["check-oeis", "--spec", "fib", "--kind", "terms", "--id", ARABIC_INDIC_ID,
+             "--bfile", str(FIXTURES / "b054265.txt")]
+        )
+        assert rc == 2
+        assert "expected 'A' + 6 digits" in capsys.readouterr().err
+
     def test_non_utf8_bfile_is_a_bfile_error(self, tmp_path, capsys):
         path = tmp_path / "b000040.txt"
         path.write_bytes(b"# caf\xe9 (one Latin-1 byte)\n1 2\n2 3\n3 5\n4 7\n")
@@ -699,6 +711,25 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
+
+    def test_poly_without_coefficients(self, capsys):
+        assert run(["terms", "--spec", "poly:", "--count", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "gapseq: error: poly needs at least one coefficient (at position 5 in 'poly:')\n"
+            f"gapseq: spec grammar: {cli._GRAMMAR}\n"
+        )
+
+    @pytest.mark.parametrize("argv,message", [
+        (["raney", "--p", "1", "--r", "0", "--n", "1"],
+         "gapseq raney: error: argument --r: must be >= 1, got 0"),
+        (["check-identity", "--fc", "3,x"],
+         "gapseq check-identity: error: argument --fc: non-integer in '3,x'"),
+        (["expand", "--num", "1,x", "--den", "1", "--count", "3"],
+         "gapseq expand: error: argument --num: bad coefficient list '1,x'"),
+    ])
+    def test_argument_type_errors(self, capsys, argv, message):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == message
 
 
 class TestEntryPoint:

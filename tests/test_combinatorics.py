@@ -104,6 +104,11 @@ class TestRaney:
         with pytest.raises(ValueError):
             raney(2, 0, 1)
 
+    @pytest.mark.parametrize("p,r,n", [(-1, 1, 1), (1, 1, -1)])
+    def test_rejects_negative_p_or_n(self, p, r, n):
+        with pytest.raises(ValueError, match=r"^raney p and n must be >= 0$"):
+            raney(p, r, n)
+
 
 class TestAsInteger:
     def test_whole(self):

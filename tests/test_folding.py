@@ -35,6 +35,10 @@ class TestWalk:
     def test_initial_value(self):
         assert a088748(0) == 1
 
+    def test_negative_rejected(self):
+        with pytest.raises(IndexError, match=r"^walk index must be >= 0, got -1$"):
+            a088748(-1)
+
     def test_positive_sweep(self):
         assert all(a088748(n) >= 1 for n in range(10_001))
 

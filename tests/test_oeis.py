@@ -284,6 +284,12 @@ class TestFetch:
         with pytest.raises(BFileError):
             fetch_bfile("054265", tmp_path)
 
+    def test_non_ascii_digits_in_id(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oeis, "_http_get", lambda url: pytest.fail(f"network hit: {url}"))
+        with pytest.raises(BFileError, match="malformed A-number"):
+            fetch_bfile("A\u0661\u0662\u0663\u0664\u0665\u0666", tmp_path)
+        assert not list(tmp_path.iterdir())
+
     def test_warm_cache_no_network(self, tmp_path, monkeypatch):
         (tmp_path / "b054265.txt").write_bytes(load_fixture("b054265.txt"))
 

@@ -76,6 +76,10 @@ class TestNthPrime:
         assert nth_prime(1) == 3
         assert nth_prime(14) == 47
 
+    def test_negative_rejected(self):
+        with pytest.raises(IndexError, match=r"^prime index must be >= 0, got -1$"):
+            nth_prime(-1)
+
     def test_first_fifteen(self):
         want = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
         assert [nth_prime(n) for n in range(15)] == want
