@@ -44,6 +44,7 @@ from .gaps import (
     gap_between,
     gap_product_between,
     gap_sequence,
+    gap_span_between,
     gap_sum_abs_between,
     gap_sum_between,
     gap_sum_signed_between,
@@ -277,24 +278,25 @@ def _cmd_terms(ns: argparse.Namespace) -> None:
 
 def _cmd_gaps(ns: argparse.Namespace) -> None:
     spec = parse_spec(ns.spec)
-    gaps = enumerate(gap_sequence(gap_between, spec, ns.count))
     write = sys.stdout.write
     if ns.format == "json":
         # The bytes of _json of the whole document, written row by row.
         write(_json({"command": "gaps", "spec": ns.spec})[:-1] + ', "gaps": [')
-        for n, g in gaps:
+        for n, g in enumerate(gap_sequence(gap_between, spec, ns.count)):
             row = _json({"n": n, **dataclasses.asdict(g)})[:-1]
             write((", " if n else "") + row + ', "elements": [')
             _write_joined(g.elements, ", ")
             write("]}")
         write("]}\n")
-    elif ns.format == "csv":
+        return
+    spans = enumerate(gap_sequence(gap_span_between, spec, ns.count))
+    if ns.format == "csv":
         write("n,start,length\n")
-        _write_joined(gaps, "", lambda b, t: [f"{n},{t(g.start)},{t(g.length)}\n" for n, g in b])
+        _write_joined(spans, "", lambda b, t: [f"{n},{t(s)},{t(k)}\n" for n, (s, k) in b])
     else:
-        for n, g in gaps:
-            write(f"{n} {_text(g.start)} {_text(g.length)} " + ("" if g.length else "-"))
-            _write_joined(g.elements, ",")
+        for n, (start, length) in spans:
+            write(f"{n} {_text(start)} {_text(length)} " + ("" if length else "-"))
+            _write_joined(range(start, start + length), ",")
             write("\n")
 
 
@@ -465,6 +467,8 @@ _FORMAT = _argument("--format", choices=("text", "json"), default="text")
 _FORMAT_CSV = _argument("--format", choices=("text", "json", "csv"), default="text")
 _SPEC = _argument("--spec", required=True)
 _COUNT = _argument("--count", type=_nonneg, required=True)
+# argparse reads a value that starts with '-' as an option.
+_LIST_HELP = "a list that starts with '-' must be joined with '=', as in --%(dest)s=-1,..."
 
 # name -> (help, handler, then the functions adding its arguments in order)
 _COMMANDS: dict[str, tuple] = {
@@ -475,12 +479,15 @@ _COMMANDS: dict[str, tuple] = {
                *_kind_flags(list(_GAP_SUMS)[1:], "clamped")),
     "gapprod": ("gap-product sequence", _cmd_gapprod, _FORMAT_CSV, _SPEC, _COUNT),
     "gf": ("Horadam generating functions", _cmd_gf, _FORMAT_CSV,
-           _argument("--horadam", type=_int_list(4), required=True, metavar="A,B,R,S"),
+           _argument("--horadam", type=_int_list(4), required=True, metavar="A,B,R,S",
+                     help=_LIST_HELP),
            *_kind_flags(_GF_BUILDERS, "plain"),
            _argument("--expand", type=_nonneg, default=None, metavar="N")),
     "expand": ("expand num/den coefficient lists", _cmd_expand, _FORMAT_CSV,
-               _argument("--num", type=_coeff_list, required=True, metavar="C0,C1,..."),
-               _argument("--den", type=_coeff_list, required=True, metavar="C0,C1,..."),
+               _argument("--num", type=_coeff_list, required=True, metavar="C0,C1,...",
+                         help=_LIST_HELP),
+               _argument("--den", type=_coeff_list, required=True, metavar="C0,C1,...",
+                         help=_LIST_HELP),
                _COUNT),
     "fc": ("Fuss-Catalan number", _cmd_fc, _FORMAT,
            _argument("--p", type=_nonneg, required=True),
@@ -490,8 +497,10 @@ _COMMANDS: dict[str, tuple] = {
               _argument("--r", type=_positive, required=True),
               _argument("--n", type=_nonneg, required=True)),
     "check-identity": ("verify product identities", _cmd_check_identity, _FORMAT,
-                       _one_of(_argument("--fc", type=_int_list(2), metavar="K,N"),
-                               _argument("--raney", type=_int_list(3), metavar="K,R,N"),
+                       _one_of(_argument("--fc", type=_int_list(2), metavar="K,N",
+                                         help=_LIST_HELP),
+                               _argument("--raney", type=_int_list(3), metavar="K,R,N",
+                                         help=_LIST_HELP),
                                required=True)),
     "table": ("reproduce a reference table", _cmd_table, _FORMAT,
               _argument("name", choices=sorted(_TABLE_BUILDERS))),

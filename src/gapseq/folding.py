@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from itertools import accumulate
 
 from .gaps import gap_sum_abs
 from .sequences import Fold, SeqSpec, terms
@@ -29,9 +30,7 @@ def a088748(n: int) -> int:
     if n < 0:
         raise IndexError(f"walk index must be >= 0, got {n}")
     if n >= len(_walk):
-        with _WALK_LOCK:
-            while len(_walk) <= n:
-                _walk.append(_walk[-1] + 1 - 2 * fold(len(_walk) - 1))
+        _grow_walk(max(n + 1, 2 * len(_walk)))
     return _walk[n]
 
 
@@ -40,6 +39,26 @@ def walk(n0: int, count: int) -> list[int]:
     if count > 0:
         a088748(n0 + count - 1)
     return _walk[n0 : n0 + count]
+
+
+def _grow_walk(size: int) -> None:
+    """Make _walk hold at least a(0) .. a(size-1), built whole and swapped in.
+
+    bits[i] = fold(i) for i < size - 1, by slices: the bits at 4n + 2
+    are 1, then fold(2n+1) = fold(n) copies the first half onto the odd
+    places. Each copy fixes one more trailing 1-bit of the index, and no
+    index below size has more than size.bit_length() of them.
+    """
+    global _walk
+    with _WALK_LOCK:
+        if len(_walk) >= size:
+            return
+        bits = bytearray(size - 1)
+        bits[2::4] = b"\x01" * len(range(2, size - 1, 4))
+        odd = (size - 1) // 2
+        for _ in range(size.bit_length()):
+            bits[1::2] = bits[:odd]
+        _walk = list(accumulate(map((1, -1).__getitem__, bits), initial=1))
 
 
 def descent_marker(spec: SeqSpec, n: int) -> int:

@@ -44,9 +44,15 @@ class Gap:
 # the arithmetic exists once.
 
 
+def gap_span_between(a: int, b: int) -> tuple[int, int]:
+    """(start, length) of the integers strictly between a and b: the
+    fields of ``gap_between`` without building a Gap."""
+    return a + 1, max(b - a - 1, 0)
+
+
 def gap_between(a: int, b: int) -> Gap:
     """The integers strictly between a and b."""
-    return Gap(start=a + 1, length=max(b - a - 1, 0))
+    return Gap(*gap_span_between(a, b))
 
 
 def gap_sum_between(a: int, b: int) -> int:

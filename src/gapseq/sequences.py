@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
-from math import comb, isqrt
+from math import comb, isqrt, log
 from typing import Callable, TypeVar, Union
 
 from ._decimal import exact, int_to_str, to_decimal
@@ -184,7 +184,7 @@ def terms(spec: SeqSpec, n0: int, count: int) -> list[int]:
 
     Horadam jumps to n0 in O(log n0) multiplications and then steps the
     recurrence; polynomials step by integer forward differences; primes
-    and the folding walk grow their cache once and slice it.
+    and the folding walk slice their bulk-built tables.
     """
     return _run(spec, n0, count, int)
 
@@ -301,31 +301,41 @@ def _polynomial_run(spec: Polynomial, n0: int, count: int) -> list[int]:
 
 _PRIME_LOCK = threading.Lock()
 _primes: list[int] = [2, 3, 5, 7, 11, 13]
-_prime_limit = 16
 
 
 def nth_prime(n: int) -> int:
     """The (n+1)-th prime: nth_prime(0) == 2.
 
-    Backed by a sieve that doubles its bound on demand; the cached list
+    A miss sieves once, over the odd numbers below Rosser's bound for
+    max(n + 1, 2 * len(_primes)) primes, so the table at least doubles
+    and a run of growing indices sieves O(log n) times. The cached list
     is replaced atomically, so concurrent readers always see a complete
     prefix of the primes.
     """
     if n < 0:
         raise IndexError(f"prime index must be >= 0, got {n}")
-    while len(_primes) <= n:
-        _grow_sieve()
+    if n >= len(_primes):
+        _sieve(max(n + 1, 2 * len(_primes)))
     return _primes[n]
 
 
-def _grow_sieve() -> None:
-    global _primes, _prime_limit
+def _sieve(count: int) -> None:
+    """Make _primes hold at least the first count (>= 6) primes.
+
+    Rosser and Schoenfeld (1962): the m-th prime is below
+    m * (ln m + ln ln m) for m >= 6; the + 2 covers float rounding.
+    flags[i] stands for the odd number 2i + 1.
+    """
+    global _primes
     with _PRIME_LOCK:
-        limit = _prime_limit * 2
-        flags = bytearray(b"\x01") * limit
-        flags[0:2] = b"\x00\x00"
-        for p in range(2, isqrt(limit - 1) + 1):
-            if flags[p]:
-                flags[p * p :: p] = b"\x00" * len(range(p * p, limit, p))
-        _primes = list(compress(range(limit), flags))
-        _prime_limit = limit
+        if len(_primes) >= count:
+            return
+        limit = int(count * (log(count) + log(log(count)))) + 2
+        half = limit // 2
+        flags = bytearray(b"\x01") * half
+        flags[0] = 0  # 1 is not prime
+        for i in range(1, (isqrt(limit - 1) + 1) // 2):
+            if flags[i]:
+                p = 2 * i + 1
+                flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, half, p)))
+        _primes = [2, *compress(range(1, limit, 2), flags)]

@@ -265,6 +265,23 @@ class TestGfCommand:
     def test_csv_requires_expand(self, capsys):
         assert run(["gf", "--horadam", "1,1,1,1", "--format", "csv"]) == 2
 
+    def test_negative_list_joined_with_equals(self, capsys):
+        out = run_ok(capsys, ["gf", "--horadam=-1,2,1,1"])
+        assert out == "(-1 + 3x) / (1 - x - x^2)\n"
+        # Apart, argparse reads the list as an option.
+        assert run(["gf", "--horadam", "-1,2,1,1"]) == 2
+
+    @pytest.mark.parametrize("command,flags", [
+        ("gf", ["--horadam"]),
+        ("expand", ["--num", "--den"]),
+        ("check-identity", ["--fc", "--raney"]),
+    ])
+    def test_list_help_says_join_with_equals(self, capsys, command, flags):
+        assert run([command, "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        for flag in flags:
+            assert f"joined with '=', as in {flag}=-1,..." in out
+
 
 class TestExpandCommand:
     def test_golden(self, capsys):
