@@ -22,7 +22,6 @@ gapseq never changes; command-line numbers stay within it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 # argparse imports these on its first use, in run(): shutil when build_parser
 # makes a help formatter, and locale (through gettext) for its first message.
@@ -38,10 +37,10 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import oeis, tables
 from ._decimal import int_to_str
+from ._record import as_dict
 from .combinatorics import fc_identity_sides, fuss_catalan, raney, raney_identity_sides
 from .gaps import (
     decimal_gap_sequence,
-    gap_between,
     gap_product_between,
     gap_sequence,
     gap_span_between,
@@ -279,18 +278,17 @@ def _cmd_terms(ns: argparse.Namespace) -> None:
 def _cmd_gaps(ns: argparse.Namespace) -> None:
     spec = parse_spec(ns.spec)
     write = sys.stdout.write
+    spans = enumerate(gap_sequence(gap_span_between, spec, ns.count))
     if ns.format == "json":
         # The bytes of _json of the whole document, written row by row.
         write(_json({"command": "gaps", "spec": ns.spec})[:-1] + ', "gaps": [')
-        for n, g in enumerate(gap_sequence(gap_between, spec, ns.count)):
-            row = _json({"n": n, **dataclasses.asdict(g)})[:-1]
-            write((", " if n else "") + row + ', "elements": [')
-            _write_joined(g.elements, ", ")
+        for n, (start, length) in spans:
+            write(f'{", " if n else ""}{{"n": {n}, "start": {_text(start)}, '
+                  f'"length": {_text(length)}, "elements": [')
+            _write_joined(range(start, start + length), ", ")
             write("]}")
         write("]}\n")
-        return
-    spans = enumerate(gap_sequence(gap_span_between, spec, ns.count))
-    if ns.format == "csv":
+    elif ns.format == "csv":
         write("n,start,length\n")
         _write_joined(spans, "", lambda b, t: [f"{n},{t(s)},{t(k)}\n" for n, (s, k) in b])
     else:
@@ -396,7 +394,7 @@ _TABLE_BUILDERS: dict[str, Callable[[], list[tables.RefTable]]] = {
 def _cmd_table(ns: argparse.Namespace) -> None:
     built = _TABLE_BUILDERS[ns.name]()
     if ns.format == "json":
-        print(json.dumps([dataclasses.asdict(t) for t in built]))
+        print(json.dumps([as_dict(t) for t in built]))
     else:
         print("\n".join(tables.render_table(t) for t in built), end="")
 
@@ -423,7 +421,7 @@ def _cmd_check_oeis(ns: argparse.Namespace) -> int:
     report = oeis.cross_check(values, bfile, ns.max_shift)
     if ns.format == "json":
         # seq_id repeats ns.id; first_mismatch is the only field that can be None.
-        fields = {k: v for k, v in dataclasses.asdict(report).items()
+        fields = {k: v for k, v in as_dict(report).items()
                   if k != "seq_id" and v is not None}
         print(_json({"command": "check-oeis", "id": ns.id, "spec": ns.spec,
                      "kind": ns.kind, **fields}))

@@ -10,24 +10,22 @@ descents), and ``gap_sum_abs`` sums a_n + j over j = 1 .. |a_(n+1)-a_n-1|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, prod
 from typing import Callable, TypeVar
 
 from ._decimal import exact
+from ._record import record
 from .sequences import SeqSpec, decimal_terms, terms
 
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
+@record
 class Gap:
     """The consecutive integers strictly between a_n and a_(n+1).
 
     ``start`` is a_n + 1 even when the gap is empty; ``length`` clamps
-    to 0 whenever the step a_(n+1) - a_n is at most 1. The field order
-    is the key order of each gap in ``gapseq gaps --format json``,
-    between ``n`` and ``elements``.
+    to 0 whenever the step a_(n+1) - a_n is at most 1.
     """
 
     start: int

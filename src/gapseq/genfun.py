@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Callable, Iterator, Sequence, TypeVar, Union
 
 from ._decimal import exact, int_to_str, str_to_int, to_decimal
+from ._record import record
 from .gaps import gap_sequence, gap_sum_signed_between
 from .sequences import Horadam
 
@@ -33,7 +33,7 @@ Coeff = Union[int, Fraction]
 N = TypeVar("N")  # int, or an exact Decimal integer
 
 
-@dataclass(frozen=True)
+@record
 class Poly:
     """Polynomial with exact rational coefficients, ascending powers."""
 
@@ -105,7 +105,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.scale(1 / a.coeffs[-1])
 
 
-@dataclass(frozen=True)
+@record
 class RatFunc:
     """Normalized quotient of two polynomials, expandable at the origin.
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 import contextlib
 import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from ._decimal import int_to_str, str_to_int
+from ._record import record
 
 A_NUMBER = re.compile(r"\AA[0-9]{6}\Z")  # not \d, which takes any Unicode digit
 _BFILE_URL = "https://oeis.org/{seq_id}/b{digits}.txt"
@@ -35,7 +35,7 @@ class FetchError(RuntimeError):
     """b-file retrieval failed (network or HTTP)."""
 
 
-@dataclass(frozen=True)
+@record
 class BFile:
     """Parsed b-file: sequence id plus (index, value) entries."""
 
@@ -53,7 +53,7 @@ class BFile:
         return [value for _, value in self.entries]
 
 
-@dataclass(frozen=True)
+@record
 class Mismatch:
     """One disagreement: b-file index, its value, and the computed value.
 
@@ -66,7 +66,7 @@ class Mismatch:
     got: int
 
 
-@dataclass(frozen=True)
+@record
 class CheckReport:
     """Outcome of aligning computed values against a b-file.
 

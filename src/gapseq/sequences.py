@@ -1,9 +1,10 @@
 """Integer sequence families with exact arbitrary-precision terms.
 
-A sequence spec is a small frozen dataclass describing one family
-(linear, geometric, polynomial, binomial, Horadam recurrence, primes,
-the paper-folding walk, or an explicit list). ``term`` and ``terms``
-evaluate specs without ever leaving exact integer arithmetic.
+A sequence spec is a small frozen record (``_record.record``)
+describing one family (linear, geometric, polynomial, binomial, Horadam
+recurrence, primes, the paper-folding walk, or an explicit list).
+``term`` and ``terms`` evaluate specs without ever leaving exact integer
+arithmetic.
 ``decimal_terms`` gives the same values for printing: one dispatch serves
 both, and lifts the long-growing Horadam and geometric seeds to exact
 Decimals, whose ``str`` is linear where an int's is quadratic.
@@ -12,13 +13,13 @@ Decimals, whose ``str`` is linear where an int's is quadratic.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
 from math import comb, isqrt, log
 from typing import Callable, TypeVar, Union
 
 from ._decimal import exact, int_to_str, to_decimal
+from ._record import record
 
 N = TypeVar("N")  # int, or an exact Decimal integer
 
@@ -27,7 +28,7 @@ class SpecError(ValueError):
     """A sequence specification violates its constraints."""
 
 
-@dataclass(frozen=True)
+@record
 class Linear:
     """a_n = k*n + r with slope k >= 0."""
 
@@ -39,7 +40,7 @@ class Linear:
             raise SpecError(f"linear slope must be >= 0, got {self.k}")
 
 
-@dataclass(frozen=True)
+@record
 class Geometric:
     """a_n = k**n + offset with base k >= 2."""
 
@@ -51,7 +52,7 @@ class Geometric:
             raise SpecError(f"geometric base must be >= 2, got {self.k}")
 
 
-@dataclass(frozen=True)
+@record
 class Polynomial:
     """a_n = sum(coeffs[i] * n**i), validated integer-valued on n >= 0.
 
@@ -83,7 +84,7 @@ class Polynomial:
                                 f"{int_to_str(v.numerator)}/{int_to_str(v.denominator)}")
 
 
-@dataclass(frozen=True)
+@record
 class Binomial:
     """a_n = C(n + shift, lower)."""
 
@@ -97,7 +98,7 @@ class Binomial:
             raise SpecError(f"binomial lower index must be >= 1, got {self.lower}")
 
 
-@dataclass(frozen=True)
+@record
 class Horadam:
     """a_n = h(n + shift) where h(0) = alpha, h(1) = beta and
     h(i) = r*h(i-1) + s*h(i-2).
@@ -119,18 +120,18 @@ class Horadam:
             raise SpecError(f"horadam shift must be >= 0, got {self.shift}")
 
 
-@dataclass(frozen=True)
+@record
 class Primes:
     """a_n = the (n+1)-th prime, so a_0 = 2."""
 
 
-@dataclass(frozen=True)
+@record
 class Fold:
     """a_n = A088748(n), the walk driven by the regular paper-folding
     bits (see the folding module)."""
 
 
-@dataclass(frozen=True)
+@record
 class Explicit:
     """A finite, explicitly listed sequence (at least two terms)."""
 

@@ -11,11 +11,11 @@ recomputed value is what the table shows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Optional, Union
 
+from ._record import record
 from .combinatorics import as_integer, raney
 from .gaps import gap_product_between, gap_sequence, gap_sum_between, gap_sum_signed_between
 from .genfun import Poly, RatFunc, horadam_gap_sum_gf, horadam_gf, ratfunc_to_text
@@ -26,7 +26,7 @@ HALF = Fraction(1, 2)
 SHOWN_SUMS = 8
 
 
-@dataclass(frozen=True)
+@record
 class RefTable:
     """A rendered-ready table: title, column headers, string cells, footnotes.
 
@@ -39,7 +39,7 @@ class RefTable:
     corrections: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class FigurateRow:
     """One figurate family: spec, its printed gap-sum closed form, and the
     published closed form where that one is wrong."""

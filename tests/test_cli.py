@@ -178,7 +178,8 @@ class TestGapsCommand:
 
     @pytest.mark.parametrize(
         "spec, count",
-        [("geom:2", 15), ("linear:1,0", 3), ("explicit:9,4,4,7", 3), ("fib", 0), ("fib", 1)],
+        [("geom:2", 15), ("linear:1,0", 3), ("explicit:9,4,4,7", 3), ("fib", 0), ("fib", 1),
+         ("horadam:2,-1,-3,5", 9), ("fold", 40), ("primes", 30)],
     )
     def test_json_bytes_match_one_dumps(self, capsys, spec, count):
         out = run_ok(capsys, ["gaps", "--spec", spec, "--count", str(count), "--format", "json"])
@@ -949,6 +950,18 @@ class TestColdStart:
         )
         for modules in loaded:
             assert not set(self.NETWORK) & set(modules)
+
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        """Records are built without code generation, so importing the CLI
+        pulls in neither dataclasses nor what it imports (inspect, ast, dis)."""
+        loaded = self._python(
+            "import sys\n"
+            "import gapseq, gapseq.cli\n"
+            "loaded = sorted(sys.modules)\n"
+            "import json\n"
+            "print(json.dumps(loaded))\n"
+        )
+        assert not {"dataclasses", "inspect"} & set(loaded)
 
     def test_subcommands_import_nothing(self):
         bfile = str(FIXTURES / "b054265.txt")
