@@ -134,6 +134,8 @@ def cross_check(values: Sequence[int], bfile: BFile, max_shift: int = 4) -> Chec
     """
     if not values:
         raise ValueError("no values to check")
+    if max_shift < 0:
+        raise ValueError(f"max_shift must be >= 0, got {max_shift}")
     if not bfile.entries:
         raise BFileError(f"b-file {bfile.seq_id or '<anonymous>'} has no entries")
     entries = bfile.entries

@@ -3,10 +3,10 @@
 A sequence spec is a small frozen record (``_record.record``)
 describing one family (linear, geometric, polynomial, binomial, Horadam
 recurrence, primes, the paper-folding walk, or an explicit list).
-``term`` and ``terms`` evaluate specs without ever leaving exact integer
-arithmetic.
+``terms`` evaluates a run of a spec without ever leaving exact integer
+arithmetic, and ``term`` is a run of one.
 ``decimal_terms`` gives the same values for printing: one dispatch serves
-both, and lifts the long-growing Horadam and geometric seeds to exact
+all three, and lifts the long-growing Horadam and geometric seeds to exact
 Decimals, whose ``str`` is linear where an int's is quadratic.
 """
 
@@ -16,6 +16,7 @@ import threading
 from fractions import Fraction
 from itertools import accumulate, compress
 from math import comb, isqrt, log
+from operator import index
 from typing import Callable, TypeVar, Union
 
 from ._decimal import exact, int_to_str, to_decimal
@@ -67,18 +68,11 @@ class Polynomial:
     def __post_init__(self) -> None:
         coeffs = tuple(Fraction(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
-        self._validate_integer_valued(coeffs)
-
-    @staticmethod
-    def _validate_integer_valued(coeffs: tuple[Fraction, ...]) -> None:
-        degree = len(coeffs) - 1
-        while degree >= 0 and coeffs[degree] == 0:
-            degree -= 1
         # Newton basis: p(n) = sum_j d_j * C(n, j) with d_j the j-th forward
         # difference at 0, j <= degree. p is integer-valued on the naturals iff
         # every d_j is an integer, that is iff p(0), ..., p(degree) are.
-        for n in range(degree + 1):
-            v = sum((c * n**i for i, c in enumerate(coeffs)), start=Fraction(0))
+        for n in range(_degree(coeffs) + 1):
+            v = _poly_at(coeffs, n)
             if v.denominator != 1:
                 raise SpecError(f"polynomial is not integer-valued: p({n}) = "
                                 f"{int_to_str(v.numerator)}/{int_to_str(v.denominator)}")
@@ -138,10 +132,15 @@ class Explicit:
     terms: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(int(t) for t in self.terms)
+        values = []
+        for t in self.terms:
+            try:
+                values.append(index(t))
+            except TypeError:
+                raise SpecError(f"explicit term is not an integer: {t!r}") from None
         if len(values) < 2:
             raise SpecError("explicit sequence needs at least 2 terms")
-        object.__setattr__(self, "terms", values)
+        object.__setattr__(self, "terms", tuple(values))
 
 
 SeqSpec = Union[Linear, Geometric, Polynomial, Binomial, Horadam, Primes, Fold, Explicit]
@@ -152,36 +151,13 @@ PELL = Horadam(0, 1, 2, 1)
 
 
 def term(spec: SeqSpec, n: int) -> int:
-    """Exact n-th term (n >= 0) of the sequence described by spec."""
-    if n < 0:
-        raise IndexError(f"sequence index must be >= 0, got {n}")
-    match spec:
-        case Linear(k=k, r=r):
-            return k * n + r
-        case Geometric(k=k, offset=offset):
-            return k**n + offset
-        case Polynomial(coeffs=coeffs):
-            value = sum((c * n**i for i, c in enumerate(coeffs)), start=Fraction(0))
-            return value.numerator  # integral by construction-time validation
-        case Binomial(shift=shift, lower=lower):
-            return comb(n + shift, lower)
-        case Horadam():
-            return _horadam_pair(spec, n + spec.shift)[0]
-        case Primes():
-            return nth_prime(n)
-        case Fold():
-            from .folding import a088748  # local import: folding depends on this module
-
-            return a088748(n)
-        case Explicit(terms=values):
-            if n >= len(values):
-                raise _explicit_range_error(values, n)
-            return values[n]
-    raise TypeError(f"not a sequence spec: {spec!r}")
+    """Exact n-th term (n >= 0) of the sequence described by spec: a run of
+    one, which never steps, so each family uses its per-index formula."""
+    return _run(spec, n, 1, int)[0]
 
 
 def terms(spec: SeqSpec, n0: int, count: int) -> list[int]:
-    """Terms a_n0 .. a_(n0+count-1) in one pass, never one ``term`` call per index.
+    """Terms a_n0 .. a_(n0+count-1) in one pass.
 
     Horadam jumps to n0 in O(log n0) multiplications and then steps the
     recurrence; polynomials step by integer forward differences; primes
@@ -203,8 +179,9 @@ def decimal_terms(spec: SeqSpec, n0: int, count: int) -> list:
 
 
 def _run(spec: SeqSpec, n0: int, count: int, lift: Callable[[int], N]) -> list:
-    """The one family dispatch of ``terms`` and ``decimal_terms``: lift maps
-    the Horadam and geometric seeds to the number type their run steps on."""
+    """The one family dispatch of ``term``, ``terms`` and ``decimal_terms``:
+    lift maps the Horadam and geometric seeds to the number type their run
+    steps on."""
     if n0 < 0:
         raise IndexError(f"sequence index must be >= 0, got {n0}")
     if count < 0:
@@ -217,8 +194,8 @@ def _run(spec: SeqSpec, n0: int, count: int, lift: Callable[[int], N]) -> list:
             return [k * n + r for n in range(n0, end)]
         case Geometric(k=k, offset=offset):
             return _geometric_run(lift(k**n0), lift(k), lift(offset), count)
-        case Polynomial():
-            return _polynomial_run(spec, n0, count)
+        case Polynomial(coeffs=coeffs):
+            return _polynomial_run(coeffs, n0, count)
         case Binomial(shift=shift, lower=lower):
             return [comb(m, lower) for m in range(n0 + shift, end + shift)]
         case Horadam(r=r, s=s):
@@ -281,14 +258,29 @@ def _horadam_pair(spec: Horadam, m: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _polynomial_run(spec: Polynomial, n0: int, count: int) -> list[int]:
+def _degree(coeffs: tuple[Fraction, ...]) -> int:
+    """The index of the last non-zero coefficient; 0 for the zero polynomial."""
+    degree = max(len(coeffs) - 1, 0)
+    while degree and coeffs[degree] == 0:
+        degree -= 1
+    return degree
+
+
+def _poly_at(coeffs: tuple[Fraction, ...], n: int) -> Fraction:
+    """sum(coeffs[i] * n**i), by Horner's rule."""
+    value = Fraction(0)
+    for c in reversed(coeffs):
+        value = value * n + c
+    return value
+
+
+def _polynomial_run(coeffs: tuple[Fraction, ...], n0: int, count: int) -> list[int]:
     """Terms of a polynomial from deg + 1 exact start values, then integer
     forward differences: each level is the running sum of the level below.
     A run no longer than deg + 1 is just its start values."""
-    degree = max(len(spec.coeffs) - 1, 0)
-    while degree and spec.coeffs[degree] == 0:
-        degree -= 1
-    row = [term(spec, n0 + i) for i in range(min(count, degree + 1))]
+    degree = _degree(coeffs)
+    # integral by Polynomial's construction-time validation
+    row = [_poly_at(coeffs, n).numerator for n in range(n0, n0 + min(count, degree + 1))]
     if count <= degree + 1:
         return row
     for j in range(1, degree + 1):  # row[j] becomes the j-th difference at n0

@@ -1,11 +1,13 @@
-"""Differential tests pinning the one-pass kernel to the per-index reference.
+"""Differential tests pinning the one-pass kernel to references written here.
 
-``terms`` computes a run of terms in one pass for every family, and
-``gap_sequence`` derives every gap statistic from consecutive pairs of
-one ``terms`` list. Both must agree exactly with ``term`` and with the
-per-n public functions of ``gaps``, which read their pair from
-``terms(spec, n, 2)`` and are pinned to ``term`` here too; ``term`` for
-Horadam specs is in turn pinned to a plain recurrence loop written here.
+``term(spec, n)`` is the run of one of the dispatch that ``terms`` uses,
+so ``TestTermMatchesReference`` pins it, family by family, to a formula
+written in the tests, and ``TestHoradamJump`` pins the Horadam jump to a
+plain recurrence loop. ``TestTermsMatchTerm`` then pins the stepping loops
+of ``terms`` to those per-index values. ``gap_sequence`` derives every gap
+statistic from consecutive pairs of one ``terms`` list; it must agree
+exactly with the per-n public functions of ``gaps``, which read their pair
+from ``terms(spec, n, 2)`` and are pinned to ``term`` here too.
 """
 
 import re
@@ -43,6 +45,8 @@ from gapseq.sequences import (
     term,
     terms,
 )
+
+from test_bulk_tables import PRIMES, WALK, fresh_caches
 
 STATS = [
     (gap_between, gap),
@@ -102,6 +106,58 @@ def windows(draw, stats_room: int = 0):
         n0 = draw(st.integers(0, 300))
         count = draw(st.integers(0, 40))
     return spec, n0, count
+
+
+class TestTermMatchesReference:
+    @given(st.integers(0, 20), ints, st.integers(0, 10**6))
+    def test_linear(self, k, r, n):
+        assert term(Linear(k, r), n) == k * n + r
+
+    @given(st.integers(2, 9), st.integers(-100, 100), st.integers(0, 400))
+    def test_geometric(self, k, offset, n):
+        assert term(Geometric(k, offset), n) == k**n + offset
+
+    @given(st.integers(0, 10), st.integers(1, 8), st.integers(0, 400))
+    def test_binomial(self, shift, lower, n):
+        assert term(Binomial(shift, lower), n) == comb(n + shift, lower)
+
+    @settings(deadline=None)
+    @given(polynomials, st.integers(0, 10**4))
+    def test_polynomial(self, spec, n):
+        want = sum(Fraction(c) * n**i for i, c in enumerate(spec.coeffs))
+        assert want.denominator == 1
+        assert term(spec, n) == want
+
+    def test_primes_by_trial_division(self):
+        with fresh_caches():  # the first call, the largest index, sieves
+            assert [term(Primes(), n) for n in reversed(range(len(PRIMES)))] == PRIMES[::-1]
+
+    def test_fold_by_recurrence(self):
+        with fresh_caches():
+            assert [term(Fold(), n) for n in reversed(range(len(WALK)))] == WALK[::-1]
+
+    @given(explicits)
+    def test_explicit_by_tuple_index(self, spec):
+        assert [term(spec, n) for n in range(len(spec.terms))] == list(spec.terms)
+
+    @pytest.mark.parametrize("spec", [
+        Linear(1, 0), Geometric(2), Polynomial((1, 1)), Binomial(0, 1),
+        Horadam(0, 1, 1, 1), Primes(), Fold(), Explicit((1, 2, 3)),
+    ])
+    def test_negative_index_error_text(self, spec):
+        with pytest.raises(IndexError, match=re.escape("sequence index must be >= 0, got -1")):
+            term(spec, -1)
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_explicit_overrun_error_text(self, n):
+        message = f"explicit sequence has 3 terms, index {n} is out of range"
+        with pytest.raises(IndexError, match=re.escape(message)):
+            term(Explicit((1, 2, 3)), n)
+
+    @pytest.mark.parametrize("spec", [(1, 2), None, Fraction(1, 2)])
+    def test_not_a_spec_error_text(self, spec):
+        with pytest.raises(TypeError, match=re.escape(f"not a sequence spec: {spec!r}")):
+            term(spec, 0)
 
 
 class TestTermsMatchTerm:

@@ -165,6 +165,11 @@ class TestCrossCheck:
             assert report.compared == len(values)
             assert report.first_mismatch is None
 
+    @pytest.mark.parametrize("values", [[1, 2], [3, 1, 4, 1, 5]])
+    def test_negative_max_shift_rejected(self, values):
+        with pytest.raises(ValueError, match=r"^max_shift must be >= 0, got -1$"):
+            cross_check(values, bfile_of(values), -1)
+
     def test_shift_detection(self):
         values = [3, 1, 4, 1, 5, 9, 2, 6]
         report = cross_check(values[2:], bfile_of(values), 3)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,16 @@ class TestValidation:
     def test_explicit_too_short(self):
         with pytest.raises(SpecError):
             Explicit((1,))
+
+    @pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), "7"], ids=["float", "fraction", "str"])
+    def test_explicit_rejects_non_integer_terms(self, bad):
+        with pytest.raises(SpecError, match=f"explicit term is not an integer: {re.escape(repr(bad))}$"):
+            Explicit((1, bad, 3))
+
+    def test_explicit_keeps_integer_terms(self):
+        spec = Explicit([-4, True, 10**30])
+        assert spec.terms == (-4, 1, 10**30)
+        assert all(type(t) is int for t in spec.terms)
 
     def test_explicit_out_of_range(self):
         with pytest.raises(IndexError):
