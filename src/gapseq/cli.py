@@ -413,7 +413,7 @@ def _cmd_check_oeis(ns: argparse.Namespace) -> int:
         bfile = oeis.parse_bfile(Path(ns.bfile).read_bytes(), ns.id)
     else:
         bfile = oeis.fetch_bfile(ns.id)
-    count = ns.count if ns.count is not None else len(bfile.entries) + ns.max_shift
+    count = ns.count if ns.count is not None else len(bfile.values) + ns.max_shift
     func = _KIND_FUNCS[ns.kind]
     if isinstance(spec, Explicit):
         count = min(count, len(spec.terms) - (func is not None))

@@ -37,20 +37,17 @@ class FetchError(RuntimeError):
 
 @record
 class BFile:
-    """Parsed b-file: sequence id plus (index, value) entries."""
+    """Parsed b-file: sequence id, the first entry's index (0 for an empty
+    b-file) and the values, whose indices run on from start."""
 
     seq_id: str
-    entries: tuple[tuple[int, int], ...]
+    start: int
+    values: tuple[int, ...]
 
     @property
-    def start_index(self) -> int:
-        if not self.entries:
-            raise ValueError("empty b-file has no start index")
-        return self.entries[0][0]
-
-    @property
-    def values(self) -> list[int]:
-        return [value for _, value in self.entries]
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        """The (index, value) pairs, built on each access."""
+        return tuple(enumerate(self.values, self.start))
 
 
 @record
@@ -98,7 +95,8 @@ def parse_bfile(text: Union[str, bytes], seq_id: str = "") -> BFile:
             lineno = text.count(b"\n", 0, exc.start) + 1
             raise BFileError(f"line {lineno}: byte {text[exc.start]:#04x} is not UTF-8") from None
     text = text.removeprefix("\ufeff")
-    entries: list[tuple[int, int]] = []
+    values: list[int] = []
+    start = next_index = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -110,17 +108,21 @@ def parse_bfile(text: Union[str, bytes], seq_id: str = "") -> BFile:
             index, value = int(fields[0]), str_to_int(fields[1])
         except ValueError as exc:
             raise BFileError(f"line {lineno}: non-integer field in {raw!r}") from exc
-        if entries and index != entries[-1][0] + 1:
-            raise BFileError(
-                f"line {lineno}: index {index} is not contiguous after {entries[-1][0]}"
-            )
-        entries.append((index, value))
-    return BFile(seq_id=seq_id, entries=tuple(entries))
+        if index != next_index:
+            if values:
+                raise BFileError(
+                    f"line {lineno}: index {index} is not contiguous after {next_index - 1}"
+                )
+            start = index
+        next_index = index + 1
+        values.append(value)
+    return BFile(seq_id, start, tuple(values))
 
 
 def render_bfile(bfile: BFile) -> str:
     """Canonical text form: one ``<index> <value>`` line per entry."""
-    return "".join(f"{index} {int_to_str(value)}\n" for index, value in bfile.entries)
+    return "".join(f"{index} {int_to_str(value)}\n"
+                   for index, value in enumerate(bfile.values, bfile.start))
 
 
 def cross_check(values: Sequence[int], bfile: BFile, max_shift: int = 4) -> CheckReport:
@@ -136,27 +138,24 @@ def cross_check(values: Sequence[int], bfile: BFile, max_shift: int = 4) -> Chec
         raise ValueError("no values to check")
     if max_shift < 0:
         raise ValueError(f"max_shift must be >= 0, got {max_shift}")
-    if not bfile.entries:
+    expected = bfile.values
+    if not expected:
         raise BFileError(f"b-file {bfile.seq_id or '<anonymous>'} has no entries")
-    entries = bfile.entries
     best: Optional[tuple[int, int, int, Mismatch]] = None
-    # Only shifts in (-len(values), len(entries)) overlap, however large max_shift is.
-    shifts = range(max(-max_shift, 1 - len(values)), min(max_shift, len(entries) - 1) + 1)
+    # Only shifts in (-len(values), len(expected)) overlap, however large max_shift is.
+    shifts = range(max(-max_shift, 1 - len(values)), min(max_shift, len(expected) - 1) + 1)
     for shift in sorted(shifts, key=lambda s: (abs(s), s < 0)):
         lo = max(0, -shift)
-        hi = min(len(values), len(entries) - shift)
-        mismatch = None
-        agreed = 0
+        hi = min(len(values), len(expected) - shift)
         for j in range(lo, hi):
-            index, expected = entries[j + shift]
-            if values[j] != expected:
-                mismatch = Mismatch(index=index, expected=expected, got=values[j])
+            if values[j] != expected[j + shift]:
                 break
-            agreed += 1
-        if mismatch is None:
+        else:
             return CheckReport(bfile.seq_id, matched=True, shift=shift, compared=hi - lo)
-        if best is None or agreed > best[0]:
-            best = (agreed, shift, hi - lo, mismatch)
+        if best is None or j - lo > best[0]:
+            mismatch = Mismatch(index=bfile.start + j + shift, expected=expected[j + shift],
+                                got=values[j])
+            best = (j - lo, shift, hi - lo, mismatch)
     assert best is not None  # shift 0 always overlaps
     _, shift, compared, mismatch = best
     return CheckReport(
@@ -216,7 +215,7 @@ def fetch_bfile(seq_id: str, cache_dir: Union[str, Path, None] = None) -> BFile:
 
 def _parse_nonempty(raw: bytes, seq_id: str) -> BFile:
     bfile = parse_bfile(raw, seq_id)
-    if not bfile.entries:
+    if not bfile.values:
         raise BFileError(f"b-file {seq_id} has no entries")
     return bfile
 

@@ -29,6 +29,18 @@ class SpecError(ValueError):
     """A sequence specification violates its constraints."""
 
 
+def _index_fields(spec: object) -> None:
+    """Store every field of spec as an exact int (``operator.index``), or
+    raise a SpecError naming the first field that is not an integer."""
+    for name in spec.__match_args__:
+        value = getattr(spec, name)
+        try:
+            object.__setattr__(spec, name, index(value))
+        except TypeError:
+            kind = type(spec).__name__.lower()
+            raise SpecError(f"{kind} field {name} is not an integer: {value!r}") from None
+
+
 @record
 class Linear:
     """a_n = k*n + r with slope k >= 0."""
@@ -37,6 +49,7 @@ class Linear:
     r: int
 
     def __post_init__(self) -> None:
+        _index_fields(self)
         if self.k < 0:
             raise SpecError(f"linear slope must be >= 0, got {self.k}")
 
@@ -49,6 +62,7 @@ class Geometric:
     offset: int = 0
 
     def __post_init__(self) -> None:
+        _index_fields(self)
         if self.k < 2:
             raise SpecError(f"geometric base must be >= 2, got {self.k}")
 
@@ -86,6 +100,7 @@ class Binomial:
     lower: int
 
     def __post_init__(self) -> None:
+        _index_fields(self)
         if self.shift < 0:
             raise SpecError(f"binomial shift must be >= 0, got {self.shift}")
         if self.lower < 1:
@@ -110,6 +125,7 @@ class Horadam:
     shift: int = 0
 
     def __post_init__(self) -> None:
+        _index_fields(self)
         if self.shift < 0:
             raise SpecError(f"horadam shift must be >= 0, got {self.shift}")
 

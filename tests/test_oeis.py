@@ -1,6 +1,7 @@
 import io
 import sys
 import threading
+import tracemalloc
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapseq.oeis as oeis
+from gapseq._decimal import str_to_int
 from gapseq.gaps import gap_sum
 from gapseq.oeis import (
     BFile,
@@ -28,7 +30,7 @@ from conftest import HAS_DIGIT_LIMIT, int_digit_limit, load_fixture, sized_ints
 
 
 def bfile_of(values, start=0, seq_id="A000000") -> BFile:
-    return BFile(seq_id, tuple((start + i, v) for i, v in enumerate(values)))
+    return BFile(seq_id, start, tuple(values))
 
 
 class TestParse:
@@ -39,8 +41,8 @@ class TestParse:
     def test_comments_and_blanks(self):
         bf = parse_bfile("# comment\n\n5 120\n6 720\n")
         assert bf.entries == ((5, 120), (6, 720))
-        assert bf.start_index == 5
-        assert bf.values == [120, 720]
+        assert bf.start == 5
+        assert bf.values == (120, 720)
 
     def test_non_contiguous(self):
         with pytest.raises(BFileError, match="line 2"):
@@ -70,7 +72,7 @@ class TestParse:
     def test_long_values_parse_in_concurrent_threads(self):
         digits = 5000
         text = b"".join(b"%d %s\n" % (i, str(i + 1).encode() * digits) for i in range(3))
-        want = [(i + 1) * (10**digits - 1) // 9 for i in range(3)]
+        want = tuple((i + 1) * (10**digits - 1) // 9 for i in range(3))
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         errors = []
 
@@ -127,7 +129,7 @@ class TestParse:
 
     def test_long_signed_values(self):
         bf = parse_bfile("0 -" + "9" * 5000 + "\n1 +" + "0" * 4999 + "1\n")
-        assert bf.values == [1 - 10**5000, 1]
+        assert bf.values == (1 - 10**5000, 1)
 
     @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="Python 3.10 has no int/str digit limit")
     def test_long_field_with_underscore_is_a_bfile_error(self):
@@ -137,7 +139,7 @@ class TestParse:
     def test_long_values_parse_in_threads_under_the_limit(self, limit_untouched):
         digits = 5000
         text = b"".join(b"%d %s\n" % (i, str(i + 1).encode() * digits) for i in range(3))
-        want = [(i + 1) * (10**digits - 1) // 9 for i in range(3)]
+        want = tuple((i + 1) * (10**digits - 1) // 9 for i in range(3))
         errors = []
 
         def worker():
@@ -154,6 +156,102 @@ class TestParse:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+
+
+def reference_entries(text: str) -> tuple[tuple[int, int], ...]:
+    """The (index, value) pairs of b-file text, by a line loop that keeps
+    every pair and checks each index against the previous pair's."""
+    entries: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise BFileError(f"line {lineno}: expected '<index> <value>', got {raw!r}")
+        try:
+            index, value = int(fields[0]), str_to_int(fields[1])
+        except ValueError as exc:
+            raise BFileError(f"line {lineno}: non-integer field in {raw!r}") from exc
+        if entries and index != entries[-1][0] + 1:
+            raise BFileError(
+                f"line {lineno}: index {index} is not contiguous after {entries[-1][0]}"
+            )
+        entries.append((index, value))
+    return tuple(entries)
+
+
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+_SPACE = st.sampled_from([" ", "  ", "\t", " \t "])
+_INDENT = st.sampled_from(["", " ", "\t", "\u3000"])
+_VALUE = st.one_of(
+    st.builds("{}{}".format, st.sampled_from(["", "+", "-"]), st.integers(0, 10**6).map(str)),
+    st.sampled_from(["1_000", "-2_5", "+0", "-0", "\u0663"]),
+    st.builds("{}{}".format, st.sampled_from(["", "-", "+"]),
+              st.integers(4290, 4400).map(lambda n: "7" * n)),
+)
+_NOT_INT = st.one_of(
+    st.sampled_from(["x", "1.5", "0x10", "++1", "_1", "1__0", "1_"]),
+    st.integers(4300, 4320).map(lambda n: "1_" + "0" * n),
+)
+_FIELD = _VALUE | _NOT_INT
+_COMMENT = st.text(st.characters(codec="utf-8", exclude_categories=["Cs"]), max_size=5)
+
+
+@st.composite
+def bfile_texts(draw) -> str:
+    """b-file text, mostly contiguous, with every kind of line and line break."""
+    index = draw(st.integers(-3, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["entry"] * 10 + ["comment", "blank", "fields", "jump"]))
+        if kind == "comment":
+            line = draw(_INDENT) + "#" + draw(_COMMENT)
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t", " \t "]))
+        elif kind == "fields":
+            fields = draw(st.lists(_FIELD, min_size=1, max_size=3).filter(lambda f: len(f) != 2))
+            line = draw(_SPACE).join(fields)
+        else:
+            if kind == "jump":
+                index += draw(st.sampled_from([-1, 0, 2, 5]))
+            value = draw(_NOT_INT if draw(st.integers(0, 9)) == 0 else _VALUE)
+            line = draw(_INDENT) + str(index) + draw(_SPACE) + value + draw(_INDENT)
+            index += 1
+        lines.append(line + draw(st.sampled_from(LINE_BREAKS)))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "".join(lines)
+
+
+class TestParseMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(bfile_texts())
+    def test_same_entries_or_same_error(self, text):
+        try:
+            want = reference_entries(text)
+        except BFileError as exc:
+            for given_text in (text, text.encode()):
+                with pytest.raises(BFileError) as info:
+                    parse_bfile(given_text)
+                assert str(info.value) == str(exc)
+        else:
+            for given_text in (text, text.encode()):
+                bf = parse_bfile(given_text)
+                assert bf.entries == want
+                assert bf.start == (want[0][0] if want else 0)
+
+    def test_kept_memory_is_one_int_per_entry(self):
+        # 50000 lines of 10-digit values: 1.9 MiB kept as one tuple of
+        # ints, 5.9 MiB as a tuple of (index, value) pairs.
+        text = b"".join(b"%d %d\n" % (i, 10**9 + 7 * i) for i in range(50000))
+        tracemalloc.start()
+        try:
+            bf = parse_bfile(text)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bf.start == 0 and len(bf.values) == 50000
+        assert kept < 3 * 2**20
 
 
 class TestCrossCheck:
@@ -235,11 +333,11 @@ class TestCrossCheck:
 
     def test_empty_bfile_rejected(self):
         with pytest.raises(ValueError):
-            cross_check([1], BFile("A000000", ()), 2)
+            cross_check([1], BFile("A000000", 0, ()), 2)
 
     def test_empty_bfile_is_a_bfile_error(self):
         with pytest.raises(oeis.BFileError, match="A000000 has no entries"):
-            cross_check([1], BFile("A000000", ()), 2)
+            cross_check([1], BFile("A000000", 0, ()), 2)
 
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=12))
     def test_self_check_property(self, values):
@@ -304,7 +402,7 @@ class TestFetch:
         monkeypatch.setattr(oeis, "_http_get", no_network)
         bf = fetch_bfile("A054265", tmp_path)
         assert bf.seq_id == "A054265"
-        assert bf.values[:4] == [0, 4, 6, 27]
+        assert bf.values[:4] == (0, 4, 6, 27)
 
     def test_cold_fetch_stores_raw_bytes(self, tmp_path, monkeypatch):
         raw = load_fixture("b103897.txt")
@@ -318,7 +416,7 @@ class TestFetch:
         bf = fetch_bfile("A103897", tmp_path)
         assert calls == ["https://oeis.org/A103897/b103897.txt"]
         assert (tmp_path / "b103897.txt").read_bytes() == raw
-        assert bf.values[:3] == [0, 3, 18]
+        assert bf.values[:3] == (0, 3, 18)
         # second call is served from the cache
         monkeypatch.setattr(oeis, "_http_get", lambda url: pytest.fail("network hit"))
         again = fetch_bfile("A103897", tmp_path)
@@ -332,7 +430,7 @@ class TestFetch:
         assert list(tmp_path.iterdir()) == []
         raw = load_fixture("b054265.txt")
         monkeypatch.setattr(oeis, "_http_get", lambda url: raw)
-        assert fetch_bfile("A054265", tmp_path).values[:4] == [0, 4, 6, 27]
+        assert fetch_bfile("A054265", tmp_path).values[:4] == (0, 4, 6, 27)
         assert (tmp_path / "b054265.txt").read_bytes() == raw
 
     def test_bad_cached_file_is_set_aside_and_refetched(self, tmp_path, monkeypatch):
@@ -347,7 +445,7 @@ class TestFetch:
             return raw
 
         monkeypatch.setattr(oeis, "_http_get", fake_get)
-        assert fetch_bfile("A054265", tmp_path).values[:4] == [0, 4, 6, 27]
+        assert fetch_bfile("A054265", tmp_path).values[:4] == (0, 4, 6, 27)
         assert calls == ["https://oeis.org/A054265/b054265.txt"]
         assert (tmp_path / "b054265.txt").read_bytes() == raw
         assert (tmp_path / "b054265.txt.bad").read_bytes() == bad
@@ -364,7 +462,7 @@ class TestFetch:
 
         monkeypatch.setattr(oeis, "parse_bfile", parse_after_the_other_fetcher)
         monkeypatch.setattr(oeis, "_http_get", lambda url: load_fixture("b054265.txt"))
-        assert fetch_bfile("A054265", tmp_path).values[:4] == [0, 4, 6, 27]
+        assert fetch_bfile("A054265", tmp_path).values[:4] == (0, 4, 6, 27)
         assert (tmp_path / "b054265.txt.bad").read_bytes() == b"0 1\n1 x\n"
 
     def test_bad_cached_file_then_malformed_download(self, tmp_path, monkeypatch):
@@ -390,7 +488,7 @@ class TestFetch:
             return raw
 
         monkeypatch.setattr(oeis, "_http_get", fake_get)
-        assert fetch_bfile("A054265", tmp_path).values[:4] == [0, 4, 6, 27]
+        assert fetch_bfile("A054265", tmp_path).values[:4] == (0, 4, 6, 27)
         assert len(calls) == 1
         assert (tmp_path / "b054265.txt").read_bytes() == raw
         assert (tmp_path / "b054265.txt.bad").read_bytes() == b""

@@ -128,7 +128,7 @@ DESCRIPTIONS = {
     Poly: _nested(Poly) | _nested(Poly, coeffs),
     RatFunc: st.builds(_ratfunc, coeffs.filter(lambda c: any(c)),
                        st.tuples(fractions.filter(bool), coeffs).map(lambda t: (t[0], *t[1]))),
-    BFile: _nested(BFile, text, st.lists(st.tuples(ints, ints), max_size=3).map(tuple)),
+    BFile: _nested(BFile, text, ints, st.lists(ints, max_size=3).map(tuple)),
     Mismatch: MISMATCHES,
     CheckReport: _nested(CheckReport, text, st.booleans(), ints, st.integers(0, 99))
     | _nested(CheckReport, text, st.booleans(), ints, st.integers(0, 99), st.none() | MISMATCHES),

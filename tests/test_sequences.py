@@ -134,6 +134,32 @@ class TestValidation:
         assert spec.terms == (-4, 1, 10**30)
         assert all(type(t) is int for t in spec.terms)
 
+    @pytest.mark.parametrize("cls, field, bad", [
+        (Linear, "k", 0.5), (Linear, "r", Fraction(1, 2)),
+        (Geometric, "k", 2.5), (Geometric, "offset", "7"),
+        (Binomial, "shift", 0.5), (Binomial, "lower", 2.0),
+        (Horadam, "alpha", 0.0), (Horadam, "beta", None), (Horadam, "r", 1.5),
+        (Horadam, "s", Fraction(2)), (Horadam, "shift", 1.0),
+    ])
+    def test_integer_fields_reject_non_integers(self, cls, field, bad):
+        valid = {Linear: (1, 0), Geometric: (2, 0), Binomial: (0, 2), Horadam: (0, 1, 1, 1, 0)}
+        fields = dict(zip(cls.__match_args__, valid[cls]), **{field: bad})
+        message = f"{cls.__name__.lower()} field {field} is not an integer: {bad!r}"
+        with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+            cls(**fields)
+
+    def test_integer_fields_become_exact_ints(self):
+        class Five:
+            def __index__(self):
+                return 5
+
+        specs = [Linear(True, Five()), Geometric(Five(), False), Binomial(Five(), True),
+                 Horadam(False, True, Five(), 2, shift=Five())]
+        assert specs == [Linear(1, 5), Geometric(5, 0), Binomial(5, 1), Horadam(0, 1, 5, 2, 5)]
+        assert all(type(getattr(spec, name)) is int
+                   for spec in specs for name in spec.__match_args__)
+        assert terms(specs[0], 0, 3) == [5, 6, 7]
+
     def test_explicit_out_of_range(self):
         with pytest.raises(IndexError):
             term(Explicit((1, 2, 3)), 3)
