@@ -3,8 +3,8 @@
 ``record`` gives a class what ``dataclasses.dataclass(frozen=True)``
 gives it, from the same annotations:
 
-- ``__init__`` over the annotated fields in order, positional or
-  keyword, with class attributes as defaults; it ends in
+- ``__init__`` over the annotated fields in order (at most five),
+  positional or keyword, with class attributes as defaults; it ends in
   ``self.__post_init__()`` when the class has one, looked up on each
   call;
 - ``__eq__`` and ``__hash__`` on the tuple of field values, with
@@ -13,7 +13,8 @@ gives it, from the same annotations:
 - assignment and deletion raising ``FrozenRecordError``.
 
 Every method is a plain function or closure: no source is generated,
-compiled or inspected, so a record costs next to nothing at import.
+compiled or inspected, so a record costs next to nothing at import, and
+``__init__`` binds its arguments as fast as a dataclass's.
 ``as_dict`` is ``dataclasses.asdict`` for records whose fields hold
 records, but no lists or tuples of them.
 """
@@ -57,23 +58,95 @@ def _delattr(self: Any, name: str) -> None:
     raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
+# One hand-written __init__ template per arity. record closes one over
+# the field names and renames its parameters after them with
+# ``__code__.replace``, so the call binds positional and keyword
+# arguments, and raises the TypeErrors, of a plain Python function.
+
+
+def _init0(names: tuple[str, ...], post_init: bool) -> Any:
+    def __init__(self):
+        if post_init:
+            self.__post_init__()
+    return __init__
+
+
+def _init1(names: tuple[str, ...], post_init: bool) -> Any:
+    (a,) = names
+
+    def __init__(self, x_a):
+        _object_setattr(self, a, x_a)
+        if post_init:
+            self.__post_init__()
+    return __init__
+
+
+def _init2(names: tuple[str, ...], post_init: bool) -> Any:
+    a, b = names
+
+    def __init__(self, x_a, x_b):
+        _object_setattr(self, a, x_a)
+        _object_setattr(self, b, x_b)
+        if post_init:
+            self.__post_init__()
+    return __init__
+
+
+def _init3(names: tuple[str, ...], post_init: bool) -> Any:
+    a, b, c = names
+
+    def __init__(self, x_a, x_b, x_c):
+        _object_setattr(self, a, x_a)
+        _object_setattr(self, b, x_b)
+        _object_setattr(self, c, x_c)
+        if post_init:
+            self.__post_init__()
+    return __init__
+
+
+def _init4(names: tuple[str, ...], post_init: bool) -> Any:
+    a, b, c, d = names
+
+    def __init__(self, x_a, x_b, x_c, x_d):
+        _object_setattr(self, a, x_a)
+        _object_setattr(self, b, x_b)
+        _object_setattr(self, c, x_c)
+        _object_setattr(self, d, x_d)
+        if post_init:
+            self.__post_init__()
+    return __init__
+
+
+def _init5(names: tuple[str, ...], post_init: bool) -> Any:
+    a, b, c, d, e = names
+
+    def __init__(self, x_a, x_b, x_c, x_d, x_e):
+        _object_setattr(self, a, x_a)
+        _object_setattr(self, b, x_b)
+        _object_setattr(self, c, x_c)
+        _object_setattr(self, d, x_d)
+        _object_setattr(self, e, x_e)
+        if post_init:
+            self.__post_init__()
+    return __init__
+
+
+_INITS = (_init0, _init1, _init2, _init3, _init4, _init5)
+
+
 def record(cls: type[T]) -> type[T]:
     """Make cls a frozen record over its annotated fields (see the module docstring)."""
     names = tuple(cls.__dict__.get("__annotations__", {}))
-    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    defaults = [cls.__dict__[name] for name in names if name in cls.__dict__]
     required = len(names) - len(defaults)
-    if any(name in defaults for name in names[:required]):
+    if any(name in cls.__dict__ for name in names[:required]):
         raise TypeError(f"{cls.__qualname__}: a field without a default follows one with a default")
-    post_init = hasattr(cls, "__post_init__")
-
-    def __init__(self: Any, *args: Any, **kwargs: Any) -> None:
-        if kwargs or len(args) != len(names):
-            args = _bind(__init__.__qualname__, names, defaults, args, kwargs)
-        for name, value in zip(names, args):
-            _object_setattr(self, name, value)
-        if post_init:
-            self.__post_init__()
-
+    if len(names) >= len(_INITS) or "self" in names:
+        raise TypeError(f"{cls.__qualname__}: a record has at most {len(_INITS) - 1} fields, "
+                        "none named 'self'")
+    __init__ = _INITS[len(names)](names, hasattr(cls, "__post_init__"))
+    __init__.__code__ = __init__.__code__.replace(co_varnames=("self", *names))
+    __init__.__defaults__ = tuple(defaults) or None
     __init__.__qualname__ = f"{cls.__qualname__}.__init__"
     methods = {"__init__": __init__, "__eq__": _eq, "__hash__": _hash, "__repr__": _repr,
                "__setattr__": _setattr, "__delattr__": _delattr, "__match_args__": names}
@@ -82,24 +155,6 @@ def record(cls: type[T]) -> type[T]:
     for name, value in methods.items():
         setattr(cls, name, value)
     return cls
-
-
-def _bind(where: str, names: tuple[str, ...], defaults: dict[str, Any],
-          args: tuple, kwargs: dict[str, Any]) -> list:
-    """The field values of a call, in field order, or the TypeError a
-    Python function with these parameters would raise."""
-    if len(args) > len(names):
-        raise TypeError(f"{where}() takes at most {len(names)} arguments, got {len(args)}")
-    given = dict(zip(names, args))
-    for name, value in kwargs.items():
-        if name not in names:
-            raise TypeError(f"{where}() got an unexpected keyword argument {name!r}")
-        if name in given:
-            raise TypeError(f"{where}() got multiple values for argument {name!r}")
-        given[name] = value
-    if missing := [name for name in names if name not in given and name not in defaults]:
-        raise TypeError(f"{where}() missing required arguments: {', '.join(map(repr, missing))}")
-    return [given[name] if name in given else defaults[name] for name in names]
 
 
 def as_dict(obj: Any) -> dict[str, Any]:

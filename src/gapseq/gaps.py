@@ -10,12 +10,13 @@ descents), and ``gap_sum_abs`` sums a_n + j over j = 1 .. |a_(n+1)-a_n-1|.
 
 from __future__ import annotations
 
-from math import comb, prod
-from typing import Callable, TypeVar
+from bisect import bisect_right
+from math import comb, isqrt, prod
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from ._decimal import exact
 from ._record import record
-from .sequences import SeqSpec, decimal_terms, terms
+from .sequences import SeqSpec, _sieve, decimal_terms, terms
 
 T = TypeVar("T")
 
@@ -124,10 +125,17 @@ def gap_product(spec: SeqSpec, n: int) -> int:
     """Product of the n-th gap's elements; 1 when the gap is empty.
 
     Multiplies the ``length`` consecutive integers starting at a_n + 1
-    rather than forming the factorial ratio (a_(n+1)-1)!/a_n!, so it
+    through ``product_range``, which never divides factorials, so it
     stays cheap when the terms themselves are huge.
     """
     return gap_product_between(*terms(spec, n, 2))
+
+
+# A range of at least _WIDE_LENGTH integers in [1, _WIDE_SPAN * length]
+# is multiplied from prime exponents; the constants come from a measured
+# crossover table (README.md, "Performance").
+_WIDE_LENGTH = 2**14
+_WIDE_SPAN = 8
 
 
 def product_range(lo: int, hi: int) -> int:
@@ -135,13 +143,70 @@ def product_range(lo: int, hi: int) -> int:
 
     Long ranges are split in half so partial products stay balanced in
     size, which is much faster than a running product once the result
-    reaches thousands of bits.
+    reaches thousands of bits. A long positive range that is wide
+    against its start is the factorial ratio (hi-1)!/(lo-1)!, and is
+    built from prime exponents instead (``_factorial_ratio``).
     """
     n = hi - lo
     if n <= 64:
         return prod(range(lo, hi))
-    mid = lo + n // 2
-    return product_range(lo, mid) * product_range(mid, hi)
+    if n >= _WIDE_LENGTH and 0 < lo and hi <= _WIDE_SPAN * n:
+        return _factorial_ratio(lo, hi)
+    return _product(range(lo, hi), 0, n)
+
+
+def _factorial_ratio(lo: int, hi: int) -> int:
+    """(hi-1)!/(lo-1)! for 1 <= lo < hi, without a division.
+
+    With e_p the exponent of the odd prime p in the result and P_j the
+    product of the odd primes whose e_p has bit j set, the odd part of
+    the result is the product of P_j^(2^j), which r = r*r * P_j builds
+    from the top bit down (P. B. Borwein, J. Algorithms 6, 1985). The
+    power of 2, v(m!) = m - popcount(m), is one shift.
+    """
+    top, base = hi - 1, lo - 1
+    # e_p <= v_p(top!) < top / (p - 1) <= top / 2
+    groups: list[list[int]] = [[] for _ in range((top // 2).bit_length())]
+    for e, run in _exponent_runs(top, base):
+        for j in range(e.bit_length()):
+            if e >> j & 1:
+                groups[j] += run
+    result = 1
+    for group in reversed(groups):
+        result = result * result * _product(group, 0, len(group))
+    return result << (top - top.bit_count() - base + base.bit_count())
+
+
+def _exponent_runs(top: int, base: int) -> Iterator[tuple[int, Sequence[int]]]:
+    """(e_p, the primes p that share it) for every odd prime p <= top,
+    where Legendre's formula gives e_p = the sum over k >= 1 of
+    floor(top/p^k) - floor(base/p^k), the exponent of p in top!/base!."""
+    primes = _sieve(top + 1)
+    end = bisect_right(primes, top)
+    small = bisect_right(primes, isqrt(top), 1, end)
+    for p in primes[1:small]:
+        e, q = 0, p
+        while q <= top:
+            e += top // q - base // q
+            q *= p
+        yield e, (p,)
+    # Above sqrt(top) only the k = 1 term is left, and it is constant on
+    # the primes in (max(top // (t + 1), base // (b + 1)), p].
+    while end > small:
+        p = primes[end - 1]
+        t, b = top // p, base // p
+        start = bisect_right(primes, max(top // (t + 1), base // (b + 1)), small, end)
+        yield t - b, primes[start:end]
+        end = start
+
+
+def _product(values: Sequence[int], lo: int, hi: int) -> int:
+    """Product of values[lo:hi], split in half so that partial products
+    stay balanced in size."""
+    if hi - lo <= 64:
+        return prod(values[lo:hi])
+    mid = (lo + hi) // 2
+    return _product(values, lo, mid) * _product(values, mid, hi)
 
 
 def gap_sum_linear_closed(r: int, n: int) -> int:

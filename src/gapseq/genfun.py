@@ -17,14 +17,13 @@ most ``ORDER``, and the builders feed more terms than determine it.
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Callable, Iterator, Sequence, TypeVar, Union
 
-from ._decimal import exact, int_to_str, str_to_int, to_decimal
+from ._decimal import exact, int_to_str, to_decimal
 from ._record import record
 from .gaps import gap_sequence, gap_sum_signed_between
 from .sequences import Horadam
@@ -301,14 +300,6 @@ def ratfunc_to_text(f: RatFunc) -> str:
     return f"({_poly_to_text(num)}) / ({_poly_to_text(den)})"
 
 
-def ratfunc_from_text(text: str) -> RatFunc:
-    """Parse the ``(num) / (den)`` rendering back into a RatFunc."""
-    m = re.fullmatch(r"\s*\(([^()]*)\)\s*/\s*\(([^()]*)\)\s*", text)
-    if not m:
-        raise ValueError(f"expected '(num) / (den)', got {text!r}")
-    return RatFunc(_poly_from_text(m.group(1)), _poly_from_text(m.group(2)))
-
-
 def _poly_to_text(coeffs: Sequence[int]) -> str:
     parts: list[str] = []
     for power, c in enumerate(coeffs):
@@ -321,30 +312,3 @@ def _poly_to_text(coeffs: Sequence[int]) -> str:
         else:
             parts.append(f"{'-' if c < 0 else '+'} {body}")
     return " ".join(parts) if parts else "0"
-
-
-_TERM_RE = re.compile(r"(-?)(\d+)?(?:(x)(?:\^(\d+))?)?")
-
-
-def _poly_from_text(text: str) -> Poly:
-    compact = text.replace(" ", "")
-    if compact in ("", "0"):
-        return Poly()
-    coeffs: dict[int, int] = {}
-    for part in compact.replace("-", "+-").split("+"):
-        if not part:
-            continue
-        m = _TERM_RE.fullmatch(part)
-        if not m or (m.group(2) is None and m.group(3) is None):
-            raise ValueError(f"cannot parse polynomial term {part!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        magnitude = str_to_int(m.group(2)) if m.group(2) is not None else 1
-        if m.group(3) is None:
-            power = 0
-        else:
-            power = int(m.group(4)) if m.group(4) is not None else 1
-        coeffs[power] = coeffs.get(power, 0) + sign * magnitude
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for power, c in coeffs.items():
-        out[power] = Fraction(c)
-    return Poly(tuple(out))

@@ -16,7 +16,7 @@ import re
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from ._decimal import int_to_str, str_to_int
+from ._decimal import str_to_int
 from ._record import record
 
 A_NUMBER = re.compile(r"\AA[0-9]{6}\Z")  # not \d, which takes any Unicode digit
@@ -117,12 +117,6 @@ def parse_bfile(text: Union[str, bytes], seq_id: str = "") -> BFile:
         next_index = index + 1
         values.append(value)
     return BFile(seq_id, start, tuple(values))
-
-
-def render_bfile(bfile: BFile) -> str:
-    """Canonical text form: one ``<index> <value>`` line per entry."""
-    return "".join(f"{index} {int_to_str(value)}\n"
-                   for index, value in enumerate(bfile.values, bfile.start))
 
 
 def cross_check(values: Sequence[int], bfile: BFile, max_shift: int = 4) -> CheckReport:

@@ -315,31 +315,33 @@ _primes: list[int] = [2, 3, 5, 7, 11, 13]
 def nth_prime(n: int) -> int:
     """The (n+1)-th prime: nth_prime(0) == 2.
 
-    A miss sieves once, over the odd numbers below Rosser's bound for
-    max(n + 1, 2 * len(_primes)) primes, so the table at least doubles
-    and a run of growing indices sieves O(log n) times. The cached list
-    is replaced atomically, so concurrent readers always see a complete
-    prefix of the primes.
+    A miss sieves once, up to Rosser's bound for max(n + 1,
+    2 * len(_primes)) primes, so the table at least doubles and a run of
+    growing indices sieves O(log n) times. Rosser and Schoenfeld (1962):
+    the m-th prime is below m * (ln m + ln ln m) for m >= 6; the + 2
+    covers float rounding.
     """
     if n < 0:
         raise IndexError(f"prime index must be >= 0, got {n}")
     if n >= len(_primes):
-        _sieve(max(n + 1, 2 * len(_primes)))
+        count = max(n + 1, 2 * len(_primes))
+        _sieve(int(count * (log(count) + log(log(count)))) + 2)
     return _primes[n]
 
 
-def _sieve(count: int) -> None:
-    """Make _primes hold at least the first count (>= 6) primes.
+def _sieve(limit: int) -> list[int]:
+    """The prime table, once it holds every prime below limit.
 
-    Rosser and Schoenfeld (1962): the m-th prime is below
-    m * (ln m + ln ln m) for m >= 6; the + 2 covers float rounding.
-    flags[i] stands for the odd number 2i + 1.
+    A miss sieves the odd numbers below max(limit, 2 * the largest known
+    prime), so the table at least doubles its bound, and replaces the
+    cached list atomically: concurrent readers always see a complete
+    prefix of the primes. flags[i] stands for the odd number 2i + 1.
     """
     global _primes
     with _PRIME_LOCK:
-        if len(_primes) >= count:
-            return
-        limit = int(count * (log(count) + log(log(count)))) + 2
+        if _primes[-1] >= limit - 1:
+            return _primes
+        limit = max(limit, 2 * _primes[-1])
         half = limit // 2
         flags = bytearray(b"\x01") * half
         flags[0] = 0  # 1 is not prime
@@ -348,3 +350,4 @@ def _sieve(count: int) -> None:
                 p = 2 * i + 1
                 flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, half, p)))
         _primes = [2, *compress(range(1, limit, 2), flags)]
+        return _primes

@@ -14,6 +14,7 @@ import random
 import sys
 import threading
 from itertools import takewhile
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,8 @@ import gapseq.folding as folding
 import gapseq.sequences as sequences
 from gapseq.cli import parse_spec, run
 from gapseq.folding import a088748, fold, walk
-from gapseq.gaps import gap_between, gap_span_between
+from gapseq.gaps import _WIDE_LENGTH as WIDE
+from gapseq.gaps import gap_between, gap_span_between, product_range
 from gapseq.sequences import nth_prime, terms
 
 
@@ -113,6 +115,31 @@ class TestPrimeTable:
             nth_prime(grown)
             assert len(sequences._primes) >= 2 * grown
 
+    @pytest.mark.parametrize("limit", [2, 3, 14, 15, 16, 17, 100, 7919, 7920, 40000])
+    def test_sieve_holds_every_prime_below_its_limit(self, limit):
+        with fresh_caches():
+            table = sequences._sieve(limit)
+            assert table is sequences._primes
+            assert [p for p in table if p < limit] == [p for p in PRIMES if p < limit]
+            assert_prime_prefix()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 7999).map(lambda n: ("nth", n)),
+                              st.integers(WIDE + 1, 9 * WIDE).map(lambda hi: ("product", hi))),
+                    min_size=1, max_size=4))
+    def test_wide_products_and_indices_share_the_table(self, steps):
+        """A wide product sieves to its own bound: no later nth_prime
+        changes, and the table stays a prefix of the primes."""
+        with fresh_caches():
+            for kind, arg in steps:
+                if kind == "nth":
+                    assert nth_prime(arg) == PRIMES[arg]
+                else:
+                    lo = arg - WIDE
+                    assert product_range(lo, arg) == factorial(arg - 1) // factorial(lo - 1)
+                assert_prime_prefix()
+            assert [nth_prime(n) for n in (0, 1, 999, 7999)] == [PRIMES[n] for n in (0, 1, 999, 7999)]
+
 
 WALK_SIZES = sorted({s for k in range(1, 15) for s in (2**k - 1, 2**k, 2**k + 1)})
 
@@ -184,13 +211,18 @@ class TestGapRows:
 
 
 def test_concurrent_readers_from_fresh_caches():
-    """8 threads read both tables, with mixed indices, while they grow."""
+    """8 threads read both tables, with mixed indices, while they grow;
+    each also sieves the prime table through one wide product."""
     failures = []
     start = threading.Barrier(8)
+    wide = {hi: factorial(hi - 1) // factorial(hi - WIDE - 1) for hi in (2 * WIDE, 5 * WIDE)}
 
     def reader(seed: int) -> None:
         rng = random.Random(seed)
+        hi = rng.choice(list(wide))
         start.wait()
+        if product_range(hi - WIDE, hi) != wide[hi]:
+            failures.append((seed, hi))
         for _ in range(200):
             n = rng.choice((rng.randrange(50), rng.randrange(6000)))
             m = rng.choice((rng.randrange(64), rng.randrange(len(WALK) - 300)))
@@ -210,7 +242,8 @@ def test_concurrent_readers_from_fresh_caches():
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
             assert_prime_prefix()
             assert_walk_prefix()
     finally:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from math import prod
 
@@ -6,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapseq.gaps import (
+    _WIDE_LENGTH,
+    _WIDE_SPAN,
     Gap,
+    _factorial_ratio,
     gap,
     gap_product,
     gap_sum,
@@ -143,6 +147,20 @@ class TestGapProduct:
         assert [gap_product(Linear(3, 1), n) for n in range(6)] == [6, 30, 72, 132, 210, 306]
 
 
+def balanced_product(lo: int, hi: int) -> int:
+    """The balanced split product_range used for every range before it
+    gained the prime-exponent path: the reference for both paths."""
+    n = hi - lo
+    if n <= 64:
+        return prod(range(lo, hi))
+    mid = lo + n // 2
+    return balanced_product(lo, mid) * balanced_product(mid, hi)
+
+
+def near(edge: int, reach: int):
+    return st.integers(edge - reach, edge + reach)
+
+
 class TestProductRange:
     def test_empty(self):
         assert product_range(5, 5) == 1
@@ -157,6 +175,47 @@ class TestProductRange:
         for width in (63, 64, 65, 200):
             lo = 1000
             assert product_range(lo, lo + width) == prod(range(lo, lo + width))
+
+    @settings(max_examples=25, deadline=None)
+    @given(near(_WIDE_LENGTH, 3), st.integers(1, 3 * _WIDE_LENGTH))
+    def test_around_the_length_threshold(self, n, lo):
+        assert product_range(lo, lo + n) == balanced_product(lo, lo + n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(_WIDE_LENGTH, _WIDE_LENGTH + 500), st.integers(-2, 2))
+    def test_around_the_span_threshold(self, n, offset):
+        hi = _WIDE_SPAN * n + offset
+        assert product_range(hi - n, hi) == balanced_product(hi - n, hi)
+
+    @settings(max_examples=10, deadline=None)
+    @given(near(_WIDE_LENGTH, 2))
+    def test_from_one_is_a_factorial(self, n):
+        assert product_range(1, n + 1) == math.factorial(n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3000), st.integers(0, 3000))
+    def test_factorial_ratio_on_short_ranges(self, lo, n):
+        assert _factorial_ratio(lo, lo + n) == prod(range(lo, lo + n))
+
+    @pytest.mark.parametrize("power", [9, 25, 27, 49, 121, 125, 343, 2187, 3**9, 5**6, 7**5])
+    def test_factorial_ratio_at_prime_powers(self, power):
+        """Legendre's sum has a last term at p^k == hi - 1 or lo - 1."""
+        for lo, hi in [(1, power + 1), (power // 3, power + 1), (power + 1, 2 * power),
+                       (power, power + 2), (power + 1, power + 2)]:
+            assert _factorial_ratio(lo, hi) == prod(range(lo, hi))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(-3 * _WIDE_LENGTH, 0), near(_WIDE_LENGTH, 2))
+    def test_ranges_from_zero_or_below(self, lo, n):
+        """lo <= 0 keeps the balanced split: all-negative ranges and
+        ranges through 0 alike."""
+        assert product_range(lo, lo + n) == balanced_product(lo, lo + n)
+
+    @pytest.mark.parametrize("lo, hi", [(-70000, -50000), (-20000, 1), (-5, 20000),
+                                        (0, 20000), (-1, 0), (3, -3), (20000, 20000),
+                                        (20000, 3000)])
+    def test_signs_zero_and_empty(self, lo, hi):
+        assert product_range(lo, hi) == prod(range(lo, hi))
 
 
 class TestClosedForms:

@@ -1,5 +1,7 @@
+import importlib.util
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,10 +21,20 @@ from gapseq.genfun import (
     poly_gcd,
     ratfunc,
     ratfunc_from_terms,
-    ratfunc_from_text,
     ratfunc_to_text,
 )
 from gapseq.sequences import Horadam, terms
+
+# The benchmark's stdlib-only oracles, which never import gapseq: their
+# parser reads the text rendering back by a route of its own.
+_spec = importlib.util.spec_from_file_location(
+    "bench_oracles", Path(__file__).resolve().parents[1] / "bench" / "oracles.py")
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
+
+
+def parsed(text: str) -> RatFunc:
+    return ratfunc(*oracles.parse_ratfunc(text))
 
 GAP_SUM_GF_PARAMS = [
     (0, 1, 1, 1),
@@ -286,17 +298,17 @@ class TestRendering:
         f = horadam_gap_sum_gf(Horadam(1, 2, 2, 2))
         text = ratfunc_to_text(f)
         assert text.startswith("(12x + 3x^2 - 6x^3) / (1 - 8x - 2x^2")
-        assert ratfunc_from_text(text) == f
+        assert parsed(text) == f
 
     def test_half_coefficient_cleared(self):
         f = ratfunc((Fraction(1, 2),), (1, -1))
         assert ratfunc_to_text(f) == "(1) / (2 - 2x)"
-        assert ratfunc_from_text("(1) / (2 - 2x)") == f
+        assert parsed("(1) / (2 - 2x)") == f
 
     def test_zero(self):
         f = ratfunc((), (1,))
         assert ratfunc_to_text(f) == "(0) / (1)"
-        assert ratfunc_from_text("(0) / (1)") == f
+        assert parsed("(0) / (1)") == f
 
     def test_unit_coefficients(self):
         f = ratfunc((0, 1), (1, -1, -1))
@@ -306,12 +318,6 @@ class TestRendering:
         f = horadam_gap_sum_gf(Horadam(0, 1, 1, 1))
         num, den = integer_coefficients(f)
         assert ratfunc(num, den) == f
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            ratfunc_from_text("1 - x")
-        with pytest.raises(ValueError):
-            ratfunc_from_text("(1 + y) / (1)")
 
     @pytest.mark.parametrize("params", GAP_SUM_GF_PARAMS)
     def test_round_trip_all_builders(self, params):
@@ -324,4 +330,4 @@ class TestRendering:
             horadam_gap_sum_gf,
         ):
             f = builder(spec)
-            assert ratfunc_from_text(ratfunc_to_text(f)) == f
+            assert parsed(ratfunc_to_text(f)) == f
