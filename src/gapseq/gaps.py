@@ -145,11 +145,14 @@ def product_range(lo: int, hi: int) -> int:
     size, which is much faster than a running product once the result
     reaches thousands of bits. A long positive range that is wide
     against its start is the factorial ratio (hi-1)!/(lo-1)!, and is
-    built from prime exponents instead (``_factorial_ratio``).
+    built from prime exponents instead (``_factorial_ratio``). A long
+    range that contains 0 is 0 without a multiplication.
     """
     n = hi - lo
     if n <= 64:
         return prod(range(lo, hi))
+    if lo <= 0 < hi:
+        return 0
     if n >= _WIDE_LENGTH and 0 < lo and hi <= _WIDE_SPAN * n:
         return _factorial_ratio(lo, hi)
     return _product(range(lo, hi), 0, n)

@@ -14,7 +14,7 @@ import contextlib
 import os
 import re
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from ._decimal import str_to_int
 from ._record import record
@@ -25,6 +25,9 @@ _HTTP_TIMEOUT = 30.0
 # The largest response body read; OEIS b-files stay far below it.
 _MAX_RESPONSE_BYTES = 64 << 20
 CACHE_DIR_ENV = "GAPSEQ_CACHE_DIR"
+# Text per parsed block: big enough that cutting costs little per line,
+# small enough that no b-file's lines are ever held whole.
+_BLOCK = 1 << 16
 
 
 class BFileError(ValueError):
@@ -86,18 +89,24 @@ def parse_bfile(text: Union[str, bytes], seq_id: str = "") -> BFile:
     that are not UTF-8, and with the offending line number for malformed
     lines and for index sequences that jump or repeat. Values of any
     length parse exactly, past the int/str digit limit as ``[+-]?[0-9]+``.
+
+    The lines are split one block of about ``_BLOCK`` characters at a
+    time, so beyond the input the peak memory is the values plus one
+    block. Bytes that are not ASCII are decoded whole first, so a UTF-8
+    error is reported before any malformed line.
     """
-    if isinstance(text, bytes):
+    if isinstance(text, bytes) and not text.isascii():
         # Plain utf-8, not utf-8-sig, so the error offset indexes the raw bytes.
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             lineno = text.count(b"\n", 0, exc.start) + 1
             raise BFileError(f"line {lineno}: byte {text[exc.start]:#04x} is not UTF-8") from None
-    text = text.removeprefix("\ufeff")
+    if isinstance(text, str):
+        text = text.removeprefix("\ufeff")
     values: list[int] = []
     start = next_index = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -117,6 +126,26 @@ def parse_bfile(text: Union[str, bytes], seq_id: str = "") -> BFile:
         next_index = index + 1
         values.append(value)
     return BFile(seq_id, start, tuple(values))
+
+
+def _lines(text: Union[str, bytes]) -> Iterator[str]:
+    """``text.splitlines()`` of a str or of ASCII bytes, decoded and split
+    one block at a time.
+
+    Each block ends just after the first ``\n`` at or past ``_BLOCK``
+    characters into it, or at the end of the text. That cut never moves
+    a line break: ``\n`` and ``\r\n`` both end inside the block, and no
+    break starts with ``\n``.
+    """
+    is_str = isinstance(text, str)
+    newline = "\n" if is_str else b"\n"
+    pos, size = 0, len(text)
+    while pos < size:
+        cut = text.find(newline, pos + _BLOCK - 1)
+        end = size if cut < 0 else cut + 1
+        block = text[pos:end]
+        yield from (block if is_str else block.decode("ascii")).splitlines()
+        pos = end
 
 
 def cross_check(values: Sequence[int], bfile: BFile, max_shift: int = 4) -> CheckReport:

@@ -231,6 +231,10 @@ class TestGapprodCommand:
         assert out.strip() == "6 30 72"
         assert out.split() == [str(gap_product(Linear(3, 1), n)) for n in range(3)]
 
+    def test_long_gap_through_zero(self, capsys):
+        argv = ["gapprod", "--spec", "horadam:-200000,200000,1,1", "--count", "1"]
+        assert run_ok(capsys, argv) == "0\n"
+
 
 class TestGfCommand:
     def test_gapsum_expansion_golden(self, capsys):

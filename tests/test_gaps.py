@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapseq.gaps as gaps
 from gapseq.gaps import (
     _WIDE_LENGTH,
     _WIDE_SPAN,
@@ -216,6 +217,21 @@ class TestProductRange:
                                         (20000, 3000)])
     def test_signs_zero_and_empty(self, lo, hi):
         assert product_range(lo, hi) == prod(range(lo, hi))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-300, 0), st.integers(1, 300))
+    def test_ranges_through_zero(self, lo, hi):
+        assert product_range(lo, hi) == prod(range(lo, hi))
+
+    def test_long_range_through_zero_never_multiplies(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("multiplied a range that contains 0")
+
+        monkeypatch.setattr(gaps, "_product", fail)
+        monkeypatch.setattr(gaps, "_factorial_ratio", fail)
+        assert product_range(0, 200000) == 0
+        assert product_range(-199999, 200000) == 0
+        assert product_range(-65, 1) == 0
 
 
 class TestClosedForms:

@@ -180,7 +180,8 @@ def reference_entries(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(entries)
 
 
-LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029")
 _SPACE = st.sampled_from([" ", "  ", "\t", " \t "])
 _INDENT = st.sampled_from(["", " ", "\t", "\u3000"])
 _VALUE = st.one_of(
@@ -222,22 +223,36 @@ def bfile_texts(draw) -> str:
     return bom + "".join(lines)
 
 
+def assert_parses_as_reference(text: str) -> None:
+    try:
+        want = reference_entries(text)
+    except BFileError as exc:
+        for given_text in (text, text.encode()):
+            with pytest.raises(BFileError) as info:
+                parse_bfile(given_text)
+            assert str(info.value) == str(exc)
+    else:
+        for given_text in (text, text.encode()):
+            bf = parse_bfile(given_text)
+            assert bf.entries == want
+            assert bf.start == (want[0][0] if want else 0)
+
+
 class TestParseMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(bfile_texts())
     def test_same_entries_or_same_error(self, text):
-        try:
-            want = reference_entries(text)
-        except BFileError as exc:
-            for given_text in (text, text.encode()):
-                with pytest.raises(BFileError) as info:
-                    parse_bfile(given_text)
-                assert str(info.value) == str(exc)
-        else:
-            for given_text in (text, text.encode()):
-                bf = parse_bfile(given_text)
-                assert bf.entries == want
-                assert bf.start == (want[0][0] if want else 0)
+        assert_parses_as_reference(text)
+
+    # Blocks of 1, 2 and 7 characters put a block's search start on every
+    # character of a short text, the "\n" of a "\r\n" included.
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @settings(max_examples=300, deadline=None)
+    @given(text=bfile_texts())
+    def test_same_at_small_blocks(self, block, text):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oeis, "_BLOCK", block)
+            assert_parses_as_reference(text)
 
     def test_kept_memory_is_one_int_per_entry(self):
         # 50000 lines of 10-digit values: 1.9 MiB kept as one tuple of
@@ -251,6 +266,19 @@ class TestParseMatchesReference:
             tracemalloc.stop()
         assert bf.start == 0 and len(bf.values) == 50000
         assert kept < 3 * 2**20
+
+    def test_peak_memory_is_the_values_plus_a_block(self):
+        # 3.8 MB of text, so a whole decoded copy of it, or a list of
+        # all its lines, would pass the bound on its own.
+        text = b"".join(b"%d %d\n" % (n, 3**n + 41) for n in range(4000))
+        tracemalloc.start()
+        try:
+            bf = parse_bfile(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bf.values[-1] == 3**3999 + 41
+        assert peak < kept + 2**20
 
 
 class TestCrossCheck:
