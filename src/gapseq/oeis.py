@@ -28,6 +28,9 @@ CACHE_DIR_ENV = "GAPSEQ_CACHE_DIR"
 # Text per parsed block: big enough that cutting costs little per line,
 # small enough that no b-file's lines are ever held whole.
 _BLOCK = 1 << 16
+# The comment lines at the start of a canonical block: no tab, and no
+# "\r", "\x0b", "\x0c" or "\x1c"-"\x1e", which str.splitlines breaks at.
+_COMMENT_LINES = re.compile(rb"(?:#[ -~]*\n)*")
 
 
 class BFileError(ValueError):
@@ -90,10 +93,18 @@ def parse_bfile(text: Union[str, bytes], seq_id: str = "") -> BFile:
     lines and for index sequences that jump or repeat. Values of any
     length parse exactly, past the int/str digit limit as ``[+-]?[0-9]+``.
 
-    The lines are split one block of about ``_BLOCK`` characters at a
+    The text is parsed one block of about ``_BLOCK`` characters at a
     time, so beyond the input the peak memory is the values plus one
     block. Bytes that are not ASCII are decoded whole first, so a UTF-8
     error is reported before any malformed line.
+
+    A block of ASCII bytes holding only canonical rows, after any ``#``
+    comment lines of printable ASCII, is split and converted in bulk
+    (``_canonical_rows``). Str text and every other block (one with a
+    blank or indented line, a later comment, a tab, ``\r\n``, a ``+``,
+    a jump in the indices, a value past the digit limit or no final
+    ``\n``) go through the line loop, which gives the same values and
+    names the line of any error.
     """
     if isinstance(text, bytes) and not text.isascii():
         # Plain utf-8, not utf-8-sig, so the error offset indexes the raw bytes.
@@ -105,32 +116,37 @@ def parse_bfile(text: Union[str, bytes], seq_id: str = "") -> BFile:
     if isinstance(text, str):
         text = text.removeprefix("\ufeff")
     values: list[int] = []
-    start = next_index = 0
-    for lineno, raw in enumerate(_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise BFileError(f"line {lineno}: expected '<index> <value>', got {raw!r}")
-        try:
-            index, value = int(fields[0]), str_to_int(fields[1])
-        except ValueError as exc:
-            raise BFileError(f"line {lineno}: non-integer field in {raw!r}") from exc
-        if index != next_index:
-            if values:
+    next_index = lineno = 0
+    for block in _blocks(text):
+        if isinstance(block, bytes):
+            after = _canonical_rows(block, values, next_index)
+            if after is not None:
+                next_index = after
+                lineno += block.count(b"\n")
+                continue
+            block = block.decode("ascii")
+        for lineno, raw in enumerate(block.splitlines(), start=lineno + 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            if len(fields) != 2:
+                raise BFileError(f"line {lineno}: expected '<index> <value>', got {raw!r}")
+            try:
+                index, value = int(fields[0]), str_to_int(fields[1])
+            except ValueError as exc:
+                raise BFileError(f"line {lineno}: non-integer field in {raw!r}") from exc
+            if index != next_index and values:
                 raise BFileError(
                     f"line {lineno}: index {index} is not contiguous after {next_index - 1}"
                 )
-            start = index
-        next_index = index + 1
-        values.append(value)
-    return BFile(seq_id, start, tuple(values))
+            next_index = index + 1
+            values.append(value)
+    return BFile(seq_id, next_index - len(values), tuple(values))
 
 
-def _lines(text: Union[str, bytes]) -> Iterator[str]:
-    """``text.splitlines()`` of a str or of ASCII bytes, decoded and split
-    one block at a time.
+def _blocks(text: Union[str, bytes]) -> Iterator[Union[str, bytes]]:
+    """A str, or ASCII bytes, one block at a time.
 
     Each block ends just after the first ``\n`` at or past ``_BLOCK``
     characters into it, or at the end of the text. That cut never moves
@@ -143,9 +159,39 @@ def _lines(text: Union[str, bytes]) -> Iterator[str]:
     while pos < size:
         cut = text.find(newline, pos + _BLOCK - 1)
         end = size if cut < 0 else cut + 1
-        block = text[pos:end]
-        yield from (block if is_str else block.decode("ascii")).splitlines()
+        yield text[pos:end]
         pos = end
+
+
+def _canonical_rows(block: bytes, values: list[int], next_index: int) -> Optional[int]:
+    """Append the values of a canonical block and return the index after
+    its last row; None, with values left as they were, for any other block.
+
+    A canonical block is ``#`` comment lines of printable ASCII, then
+    only rows ``<index> <value>\n`` of two runs of digits and ``-`` that
+    int() takes, with indices counting up from next_index (from any
+    index while values is empty). Deleting the digits and ``-`` must
+    leave ``b" \n"`` once per row, and a split two fields per row, so
+    every row is checked in C and each field costs one int() call.
+    """
+    body = block[_COMMENT_LINES.match(block).end():]
+    skeleton = body.translate(None, b"0123456789-")
+    rows = len(skeleton) // 2
+    if skeleton != b" \n" * rows:
+        return None
+    fields = body.split()
+    if len(fields) != 2 * rows:
+        return None
+    if not rows:
+        return next_index
+    try:
+        first = int(fields[0]) if not values else next_index
+        if list(map(int, fields[0::2])) != list(range(first, first + rows)):
+            return None
+        values += list(map(int, fields[1::2]))
+    except ValueError:  # "5-1", "--5", or past the int/str digit limit
+        return None
+    return first + rows
 
 
 def cross_check(values: Sequence[int], bfile: BFile, max_shift: int = 4) -> CheckReport:

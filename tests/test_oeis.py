@@ -7,7 +7,7 @@ import urllib.request
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gapseq.oeis as oeis
@@ -223,6 +223,49 @@ def bfile_texts(draw) -> str:
     return bom + "".join(lines)
 
 
+# One defect a row at most, each a way out of the bulk path for its block.
+_ROW_DEFECTS = ["comment", "blank", "jump", "repeat", "one field", "three fields", "5-1",
+                "--5", "-0", "007", "long", "crlf"]
+
+
+@st.composite
+def canonical_bfile_texts(draw) -> str:
+    """b-file text of rows ``<index> <value>\n`` after ``#`` header lines,
+    most rows canonical and the others with one defect each; the bulk
+    path takes most blocks whole, and the line loop the rest."""
+    index = draw(st.integers(-3, 3))
+    lines = [f"#{draw(st.sampled_from(['', ' A000045', ' n a(n)']))}\n"
+             for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(0, 12))):
+        defect = draw(st.sampled_from([None] * 3 * len(_ROW_DEFECTS) + _ROW_DEFECTS))
+        value = str(draw(st.integers(-10**6, 10**6)))
+        end = "\n"
+        if defect == "comment":
+            lines.append("# mid-file comment\n")
+        elif defect == "blank":
+            lines.append("\n")
+        elif defect == "jump":
+            index += draw(st.integers(1, 3))
+        elif defect == "repeat":
+            index -= 1
+        elif defect == "long":
+            digits = draw(st.integers(4299, 4301))
+            value = draw(st.sampled_from(["", "-"])) + str(draw(st.integers(1, 9))) * digits
+        elif defect == "crlf":
+            end = "\r\n"
+        elif defect in ("5-1", "--5", "-0", "007"):
+            value = defect
+        row = f"{index} {value}"
+        if defect == "one field":
+            row = str(index)
+        elif defect == "three fields":
+            row += f" {value}"
+        lines.append(row + end)
+        index += 1
+    text = "".join(lines)
+    return text.removesuffix("\n") if draw(st.booleans()) else text
+
+
 def assert_parses_as_reference(text: str) -> None:
     try:
         want = reference_entries(text)
@@ -254,6 +297,41 @@ class TestParseMatchesReference:
             mp.setattr(oeis, "_BLOCK", block)
             assert_parses_as_reference(text)
 
+    # Small blocks cut a text at every row, and at 64 characters a block
+    # holds a few rows, so a defect ends the bulk path of one block only.
+    @pytest.mark.parametrize("block", [1, 2, 7, 64, oeis._BLOCK])
+    @settings(max_examples=200, deadline=None)
+    @given(text=canonical_bfile_texts())
+    @example(text="# a\rb\n0 1\n")  # "\r" breaks the comment line in two
+    @example(text="-2 5\n-1 6\n0 7\n")
+    def test_same_on_canonical_rows(self, block, text):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oeis, "_BLOCK", block)
+            assert_parses_as_reference(text)
+
+    def test_canonical_blocks_skip_the_line_loop(self, monkeypatch):
+        # Only the line loop calls str_to_int.
+        def refuse(text):
+            raise AssertionError(f"str_to_int({text!r}) was called")
+
+        monkeypatch.setattr(oeis, "str_to_int", refuse)
+        text = b"# A000000\n# n 7n-3\n" + b"".join(b"%d %d\n" % (i, 7 * i - 3)
+                                                   for i in range(1, 50001))
+        bf = parse_bfile(text)
+        assert bf.start == 1 and bf.values == tuple(range(4, 350000, 7))
+
+    @pytest.mark.parametrize("bad_row, message", [
+        (b"123455 1 2\n", "line 123457: expected '<index> <value>', got '123455 1 2'"),
+        (b"123457 1\n", "line 123457: index 123457 is not contiguous after 123454"),
+    ])
+    def test_line_numbers_run_on_across_blocks(self, bad_row, message):
+        # A header line, then index i on line i + 2: row 123455 is on line 123457.
+        rows = [b"%d %d\n" % (i, i) for i in range(200000)]
+        rows[123455] = bad_row
+        with pytest.raises(BFileError) as info:
+            parse_bfile(b"# header\n" + b"".join(rows))
+        assert str(info.value) == message
+
     def test_kept_memory_is_one_int_per_entry(self):
         # 50000 lines of 10-digit values: 1.9 MiB kept as one tuple of
         # ints, 5.9 MiB as a tuple of (index, value) pairs.
@@ -278,6 +356,19 @@ class TestParseMatchesReference:
         finally:
             tracemalloc.stop()
         assert bf.values[-1] == 3**3999 + 41
+        assert peak < kept + 2**20
+
+    def test_peak_memory_of_short_rows_is_the_values_plus_a_block(self):
+        # Short rows put the most rows, and so the most fields, in one
+        # block; a block's fields are what the bulk path holds beyond it.
+        text = b"".join(b"%d %d\n" % (i, i) for i in range(50000))
+        tracemalloc.start()
+        try:
+            bf = parse_bfile(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bf.values == tuple(range(50000))
         assert peak < kept + 2**20
 
 
