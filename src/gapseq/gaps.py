@@ -145,8 +145,10 @@ def product_range(lo: int, hi: int) -> int:
     size, which is much faster than a running product once the result
     reaches thousands of bits. A long positive range that is wide
     against its start is the factorial ratio (hi-1)!/(lo-1)!, and is
-    built from prime exponents instead (``_factorial_ratio``). A long
-    range that contains 0 is 0 without a multiplication.
+    built from prime exponents instead (``_factorial_ratio``). On both
+    paths, products of long factors of like length are Toom-3 products
+    (``_mul``) over the builtin one. A long range that contains 0 is 0
+    without a multiplication.
     """
     n = hi - lo
     if n <= 64:
@@ -176,7 +178,7 @@ def _factorial_ratio(lo: int, hi: int) -> int:
                 groups[j] += run
     result = 1
     for group in reversed(groups):
-        result = result * result * _product(group, 0, len(group))
+        result = _mul(_mul(result, result), _product(group, 0, len(group)))
     return result << (top - top.bit_count() - base + base.bit_count())
 
 
@@ -205,11 +207,82 @@ def _exponent_runs(top: int, base: int) -> Iterator[tuple[int, Sequence[int]]]:
 
 def _product(values: Sequence[int], lo: int, hi: int) -> int:
     """Product of values[lo:hi], split in half so that partial products
-    stay balanced in size."""
+    stay balanced in size; each merge goes through ``_mul``, so the long
+    merges near the root are Toom-3 products."""
     if hi - lo <= 64:
         return prod(values[lo:hi])
     mid = (lo + hi) // 2
-    return _product(values, lo, mid) * _product(values, mid, hi)
+    return _mul(_product(values, lo, mid), _product(values, mid, hi))
+
+
+# Factors of at least _TOOM_BITS bits whose lengths are within a factor
+# of 3/2 are multiplied by Toom-3; the cutoff comes from a measured table
+# (README.md, "Performance").
+_TOOM_BITS = 30000
+
+
+def _mul(a: int, b: int) -> int:
+    """a * b, by Toom-3 when both factors are long and of like length.
+
+    Short or lopsided factors go to the builtin product (Karatsuba in
+    CPython). A square (``a is b``) stays a square at every level, since
+    squaring is about 30% cheaper than multiplying. The factors are cut
+    into pieces here and dropped, so that a caller's temporaries do not
+    outlive the split.
+    """
+    square = a is b
+    n, m = a.bit_length(), b.bit_length()
+    if n > m:
+        n, m = m, n
+    if n < _TOOM_BITS or 3 * n < 2 * m:
+        return a * b
+    negative = (a < 0) != (b < 0)
+    k = (m + 2) // 3
+    x = _toom3_points(abs(a), k)
+    y = x if square else _toom3_points(abs(b), k)
+    del a, b
+    c = _toom3(x, y, k)
+    return -c if negative else c
+
+
+def _toom3_points(a: int, k: int) -> list[int]:
+    """The values at 0, 1, -1, -2 and infinity of a0 + a1 x + a2 x^2,
+    where a = a0 + a1 2^k + a2 2^(2k) >= 0 with k-bit pieces a0 and a1."""
+    mask = (1 << k) - 1
+    a0, a1, a2 = a & mask, (a >> k) & mask, a >> 2 * k
+    t = a0 + a2
+    m1 = t - a1
+    return [a0, t + a1, m1, ((m1 + a2) << 1) - a0, a2]
+
+
+def _toom3(x: list[int], y: list[int], k: int) -> int:
+    """The product of two factors from their ``_toom3_points`` (one list
+    for a square): five products a third as long, through ``_mul``, and
+    Bodrato's interpolation (M. Bodrato, WAIFI 2007). Each value is
+    dropped as soon as it has been used, to keep the peak low."""
+    square = x is y
+    products = []
+    while x:
+        u = x.pop()
+        products.append(_mul(u, u if square else y.pop()))
+        del u
+    r4, rm2, rm1, r1, r0 = products
+    del products
+    r3 = (rm2 - r1) // 3
+    del rm2
+    r1 = (r1 - rm1) >> 1
+    r2 = rm1 - r0
+    del rm1
+    r3 = ((r2 - r3) >> 1) + (r4 << 1)
+    r2 += r1 - r4
+    r1 -= r3
+    c = r0 + (r1 << k)
+    del r0, r1
+    c += r2 << 2 * k
+    del r2
+    c += r3 << 3 * k
+    del r3
+    return c + (r4 << 4 * k)
 
 
 def gap_sum_linear_closed(r: int, n: int) -> int:

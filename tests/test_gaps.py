@@ -1,6 +1,9 @@
 import math
+import operator
+import tracemalloc
 from fractions import Fraction
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from gapseq.gaps import (
     _WIDE_SPAN,
     Gap,
     _factorial_ratio,
+    _mul,
     gap,
     gap_product,
     gap_sum,
@@ -232,6 +236,130 @@ class TestProductRange:
         assert product_range(0, 200000) == 0
         assert product_range(-199999, 200000) == 0
         assert product_range(-65, 1) == 0
+
+
+# With _TOOM_BITS at 64 a factor of a few hundred bits takes Toom-3 two
+# or three levels deep, so the recursion and the interpolation run fast.
+_LOW_TOOM_BITS = 64
+
+
+@st.composite
+def toom_factor(draw, k: int, length: int | None = None) -> int:
+    """A signed factor (or 0) for a Toom-3 split into k-bit pieces: its
+    length is 1, 2 or 3 pieces give or take a bit, and its pieces are
+    random, all ones, all zeros or a power of two, where a wrong borrow
+    or a wrong halving shows."""
+    if length is None:
+        length = draw(st.sampled_from([j * k + d for j in (1, 2, 3) for d in (-1, 0, 1)]))
+    if length <= 0 or draw(st.integers(0, 15)) == 0:
+        return 0
+    shape = draw(st.sampled_from(["random", "ones", "power", "power+1", "pieces"]))
+    if shape == "random":
+        v = draw(st.integers(1 << (length - 1), (1 << length) - 1))
+    elif shape == "ones":
+        v = (1 << length) - 1
+    elif shape == "power":
+        v = 1 << (length - 1)
+    elif shape == "power+1":
+        v = (1 << (length - 1)) + 1
+    else:
+        ones = (1 << k) - 1
+        pieces = draw(st.lists(st.sampled_from([0, ones, 1, 1 << (k - 1)]), min_size=4, max_size=4))
+        v = sum(p << (i * k) for i, p in enumerate(pieces)) & ((1 << length) - 1)
+        v |= 1 << (length - 1)
+    return v * draw(st.sampled_from([1, -1]))
+
+
+@st.composite
+def toom_pair(draw) -> tuple[int, int]:
+    k = draw(st.integers(_LOW_TOOM_BITS // 3, 400))
+    a = draw(toom_factor(k))
+    if draw(st.booleans()):
+        b = draw(toom_factor(k))
+    else:
+        # Lengths just on either side of the balance guard 3n >= 2m.
+        edge = -(-2 * abs(a).bit_length() // 3)
+        b = draw(toom_factor(k, draw(st.integers(edge - 1, edge))))
+    return a, b
+
+
+class TestMul:
+    @settings(max_examples=400, deadline=None)
+    @given(toom_pair())
+    def test_matches_the_builtin_product(self, pair):
+        a, b = pair
+        with mock.patch.object(gaps, "_TOOM_BITS", _LOW_TOOM_BITS):
+            assert _mul(a, b) == a * b
+            assert _mul(b, a) == a * b
+            assert _mul(a, a) == a * a
+
+    @pytest.mark.parametrize("n", [191, 192, 193, 575, 576, 577, 1727, 1728, 1729])
+    def test_all_ones_and_powers_of_two(self, n):
+        values = [(1 << n) - 1, 1 << n, (1 << n) + 1, -(1 << n) + 1]
+        with mock.patch.object(gaps, "_TOOM_BITS", _LOW_TOOM_BITS):
+            for a in values:
+                assert _mul(a, a) == a * a
+                for b in values:
+                    assert _mul(a, b) == a * b
+
+    def test_a_square_stays_a_square(self, monkeypatch):
+        """Each of a square's five products is a square, at every level."""
+        calls = []
+        real = gaps._mul
+
+        def spy(a, b):
+            calls.append(a is b)
+            return real(a, b)
+
+        monkeypatch.setattr(gaps, "_TOOM_BITS", _LOW_TOOM_BITS)
+        monkeypatch.setattr(gaps, "_mul", spy)
+        a = 3**1000
+        assert spy(a, a) == a * a
+        assert len(calls) > 6 and all(calls)  # the call itself and its five squares, at least
+
+    def test_long_products_take_toom3(self, monkeypatch):
+        lo, hi = 10**6, 10**6 + 40000  # about 800K bits, by the balanced split
+        calls = []
+        real = gaps._toom3
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(gaps, "_toom3", counting)
+        got = product_range(lo, hi)
+        assert calls
+        monkeypatch.setattr(gaps, "_mul", operator.mul)
+        assert got == gaps._product(range(lo, hi), 0, hi - lo)
+
+    def test_short_and_lopsided_factors_take_the_builtin(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("took Toom-3")
+
+        monkeypatch.setattr(gaps, "_toom3", fail)
+        bits = gaps._TOOM_BITS
+        a = (1 << (3 * bits)) - 1
+        short = a >> (2 * bits + 1)  # one bit below the cutoff
+        lopsided = a >> (bits + 1)  # one bit below 2/3 of a's length
+        assert _mul(short, short) == short * short
+        assert _mul(a, lopsided) == a * lopsided
+        assert _mul(-a, lopsided) == -a * lopsided
+
+    def test_peak_memory_of_a_long_product(self):
+        # About 1.9M bits by the balanced split. The builtin product alone
+        # peaks at 6.4 times the result's size, and a Toom-3 that keeps
+        # the factors and its partial products to the end at 5.9 times.
+        # _mul peaks at 3.6 times (4.5 on Python 3.10, whose calls keep
+        # their arguments alive).
+        tracemalloc.start()
+        try:
+            got = product_range(10**6, 10**6 + 95000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = got.bit_length() / 8
+        assert got.bit_length() > 1_800_000
+        assert peak < 5 * size
 
 
 class TestClosedForms:
