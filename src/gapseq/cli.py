@@ -548,6 +548,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (oeis.FetchError, oeis.BFileError, OSError) as exc:
         print(f"gapseq: error: {exc}", file=sys.stderr)
         return 1
+    except (OverflowError, MemoryError) as exc:
+        print(f"gapseq: error: input too large: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
+        return 1
     except (ValueError, IndexError) as exc:
         print(f"gapseq: error: {exc}", file=sys.stderr)
         if isinstance(exc, (SpecParseError, SpecError)):

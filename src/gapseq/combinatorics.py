@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .gaps import product_range
+from .sequences import _index_error
 
 
 def binom(n: int, k: int) -> int:
@@ -52,6 +53,8 @@ def gap_product_closed(k: int, r: int, n: int) -> int:
         raise ValueError(f"slope k must be >= 1, got {k}")
     if r < 1:
         raise ValueError(f"intercept r must be >= 1, got {r}")
+    if n < 0:
+        raise _index_error(n)
     base = k * n + r
     return product_range(base + 1, base + k)
 

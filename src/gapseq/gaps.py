@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from ._decimal import exact
 from ._record import record
-from .sequences import SeqSpec, _sieve, decimal_terms, terms
+from .sequences import SeqSpec, _index_error, _sieve, decimal_terms, terms
 
 T = TypeVar("T")
 
@@ -81,9 +81,16 @@ def gap_product_between(a: int, b: int) -> int:
     return product_range(a + 1, b)
 
 
+def _term_count(count: int) -> int:
+    """The number of terms that count gaps span; a ValueError for a negative count."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    return count + 1
+
+
 def gap_sequence(stat: Callable[[int, int], T], spec: SeqSpec, count: int) -> list[T]:
     """stat(a_n, a_(n+1)) for n = 0 .. count-1, from one pass over the terms."""
-    values = terms(spec, 0, count + 1)
+    values = terms(spec, 0, _term_count(count))
     return list(map(stat, values, values[1:]))
 
 
@@ -97,7 +104,7 @@ def decimal_gap_sequence(stat: Callable[[int, int], int], spec: SeqSpec, count: 
     signed sum 0 * -97 // 2, into 0.
     """
     with exact():
-        values = decimal_terms(spec, 0, count + 1)
+        values = decimal_terms(spec, 0, _term_count(count))
         return [+v for v in map(stat, values, values[1:])]
 
 
@@ -289,6 +296,8 @@ def gap_sum_linear_closed(r: int, n: int) -> int:
     """Gap-sum of a_n = r*n in closed form: (2n+1) * C(r, 2)."""
     if r < 1:
         raise ValueError(f"slope must be >= 1, got {r}")
+    if n < 0:
+        raise _index_error(n)
     return (2 * n + 1) * comb(r, 2)
 
 
@@ -296,4 +305,6 @@ def gap_sum_geometric_closed(k: int, n: int) -> int:
     """Gap-sum of a_n = k**n in closed form: ((k^2-1)k^(2n) - (k+1)k^n) / 2."""
     if k < 2:
         raise ValueError(f"base must be >= 2, got {k}")
+    if n < 0:
+        raise _index_error(n)
     return ((k * k - 1) * k ** (2 * n) - (k + 1) * k**n) // 2

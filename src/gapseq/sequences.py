@@ -199,7 +199,7 @@ def _run(spec: SeqSpec, n0: int, count: int, lift: Callable[[int], N]) -> list:
     lift maps the Horadam and geometric seeds to the number type their run
     steps on."""
     if n0 < 0:
-        raise IndexError(f"sequence index must be >= 0, got {n0}")
+        raise _index_error(n0)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if count == 0:
@@ -250,6 +250,10 @@ def _horadam_run(a: N, b: N, r: N, s: N, count: int) -> list[N]:
         a, b = b, +(r * b + s * a)
         out.append(a)
     return out
+
+
+def _index_error(n: int) -> IndexError:
+    return IndexError(f"sequence index must be >= 0, got {n}")
 
 
 def _explicit_range_error(values: tuple[int, ...], n: int) -> IndexError:

@@ -111,6 +111,8 @@ def _scalar_argvs() -> list[list[str]]:
             ["check-identity", "--raney", "3,2,4", "--format", fmt],
             ["check-identity", "--raney", "3000,2,3", "--format", fmt],
             ["check-identity", "--fc", "-1,2", "--format", fmt],
+            ["check-identity", "--fc", "2,-1", "--format", fmt],
+            ["check-identity", "--raney", "3,2,-1", "--format", fmt],
         ]
         argvs += [["table", name, "--format", fmt]
                   for name in ("figurate", "fc", "raney", "horadam")]
@@ -162,6 +164,9 @@ def _other_argvs() -> list[list[str]]:
         ["gapsum", "--spec", "explicit:" + TOO_LONG + ",1,5", "--count", "2", "--format", "json"],
         ["terms", "--spec", "explicit:5,3,9", "--count", "4"],
         ["gapsum", "--spec", "explicit:5,3,9", "--count", "3"],
+        # Indices past any table: too large to compute, not a traceback.
+        *(["terms", "--spec", spec, "--from", str(10**20), "--count", "1"]
+          for spec in ("primes", "fold")),
         # argparse: help and usage errors
         [],
         ["--help"],

@@ -123,6 +123,12 @@ class TestPrimeTable:
             assert [p for p in table if p < limit] == [p for p in PRIMES if p < limit]
             assert_prime_prefix()
 
+    def test_the_100000th_prime(self, capsys):
+        with fresh_caches():
+            assert run(["terms", "--spec", "primes", "--from", "99999", "--count", "1"]) == 0
+            assert capsys.readouterr().out == "1299709\n"
+            assert_prime_prefix()
+
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.one_of(st.integers(0, 7999).map(lambda n: ("nth", n)),
                               st.integers(WIDE + 1, 9 * WIDE).map(lambda hi: ("product", hi))),
@@ -169,6 +175,12 @@ class TestWalkTable:
                 assert walk(n0, count) == WALK[n0 : n0 + count]
                 if count:
                     assert a088748(n0 + count - 1) == WALK[n0 + count - 1]
+            assert_walk_prefix()
+
+    def test_window_across_two_to_the_16(self, capsys):
+        with fresh_caches():
+            assert run(["terms", "--spec", "fold", "--from", "65530", "--count", "8"]) == 0
+            assert capsys.readouterr().out == "5 4 3 4 3 2 3 4\n"
             assert_walk_prefix()
 
     def test_table_at_least_doubles(self):

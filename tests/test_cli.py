@@ -3,6 +3,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -341,6 +342,13 @@ class TestCheckIdentity:
     def test_requires_one_identity(self, capsys):
         assert run(["check-identity"]) == 2
 
+    @pytest.mark.parametrize("flags", [["--fc", "2,-1"], ["--raney", "3,2,-1"]])
+    def test_negative_n_is_a_usage_error(self, capsys, flags):
+        assert run(["check-identity", *flags]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "gapseq: error: sequence index must be >= 0, got -1\n")
+
 
 class TestTableCommand:
     @pytest.mark.parametrize("name", ["figurate", "fc", "raney", "horadam"])
@@ -507,6 +515,25 @@ class TestCheckOeis:
         assert rc == 1
         assert captured.out == ""
         assert captured.err == "gapseq: error: b-file A000045 has no entries\n"
+
+    @pytest.mark.parametrize("end, bad_line, rc, out, err", [
+        (b"\n", None, 0, "A001477: matched shift=0 compared=200000\n", ""),
+        (b"\r\n", None, 0, "A001477: matched shift=0 compared=200000\n", ""),
+        # A row of three fields past many blocks parsed in bulk names its own line.
+        (b"\n", 150001, 1, "", "gapseq: error: line 150001: expected '<index> <value>', "
+                                "got '149999 149999 0'\n"),
+    ], ids=["lf", "crlf", "bad-row"])
+    def test_long_bfile(self, tmp_path, capsys, end, bad_line, rc, out, err):
+        """200000 rows, about 40 parse blocks, under a comment line."""
+        lines = [b"# n n", *(b"%d %d" % (n, n) for n in range(200000))]
+        if bad_line is not None:
+            lines[bad_line - 1] += b" 0"
+        path = tmp_path / "b001477.txt"
+        path.write_bytes(end.join(lines) + end)
+        got = run(["check-oeis", "--spec", "linear:1,0", "--kind", "terms", "--id", "A001477",
+                   "--bfile", str(path)])
+        captured = capsys.readouterr()
+        assert (got, captured.out, captured.err) == (rc, out, err)
 
     def test_max_shift_zero_rejects_offset(self, capsys):
         tail_spec = "explicit:4,13,42,119"
@@ -675,6 +702,28 @@ class TestDigitLimit:
         err = capsys.readouterr().err
         assert "gapseq: error: expected an integer" in err
         assert "gapseq: spec grammar:" in err
+
+
+class TestInputTooLarge:
+    """An input too large to compute fails with one error line and exit 1."""
+
+    @pytest.mark.parametrize("spec", ["primes", "fold"])
+    def test_index_past_any_table(self, capsys, spec):
+        # 10**20 overflows the table's size before anything is allocated.
+        assert run(["terms", "--spec", spec, "--from", str(10**20), "--count", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("gapseq: error: input too large: "
+                                "cannot fit 'int' into an index-sized integer\n")
+
+    def test_memory_error(self, capsys, monkeypatch):
+        def exhausted(ns):
+            raise MemoryError
+
+        help_, _, *adders = cli._COMMANDS["terms"]
+        monkeypatch.setitem(cli._COMMANDS, "terms", (help_, exhausted, *adders))
+        assert run(["terms", "--spec", "fib", "--count", "3"]) == 1
+        assert capsys.readouterr() == ("", "gapseq: error: input too large: MemoryError\n")
 
 
 class TestUsageErrors:
@@ -892,7 +941,8 @@ class TestOneCommandParser:
     def test_help_lists_every_command(self, capsys):
         assert run(["--help"]) == 0
         out = capsys.readouterr().out
-        assert all(f"    {name}" in out for name in cli._COMMANDS)
+        for name in cli._COMMANDS:
+            assert re.search(rf"^    {re.escape(name)}( |$)", out, re.MULTILINE), name
 
     def test_unknown_command_lists_every_command(self, capsys):
         assert run(["frobnicate"]) == 2

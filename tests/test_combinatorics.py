@@ -151,6 +151,10 @@ class TestGapProductClosed:
             gap_product_closed(0, 1, 1)
         with pytest.raises(ValueError):
             gap_product_closed(2, 0, 1)
+        with pytest.raises(ValueError, match="got 0"):
+            gap_product_closed(0, 1, -1)  # a bad parameter is reported before the index
+        with pytest.raises(IndexError, match="^sequence index must be >= 0, got -1$"):
+            gap_product_closed(2, 1, -1)
 
 
 class TestIdentities:

@@ -161,6 +161,11 @@ class TestDecimalGapSums:
         got = decimal_gap_sequence(gap_sum_signed_between, Geometric(2, -50), 3)
         assert texts(got) == ["0", "-47", "-132"]
 
+    @pytest.mark.parametrize("count", [-1, -5])
+    def test_negative_count_is_that_of_gap_sequence(self, count):
+        with pytest.raises(ValueError, match=f"^count must be >= 0, got {count}$"):
+            decimal_gap_sequence(gap_sum_between, FIBONACCI, count)
+
 
 class TestDecimalExpansion:
     @settings(max_examples=300, deadline=None)

@@ -1,5 +1,6 @@
 import math
 import operator
+import random
 import tracemalloc
 from fractions import Fraction
 from math import prod
@@ -181,6 +182,11 @@ class TestProductRange:
             lo = 1000
             assert product_range(lo, lo + width) == prod(range(lo, lo + width))
 
+    # A wide range from prime exponents, and one a single integer too short for that path.
+    @pytest.mark.parametrize("lo, hi", [(30001, 90001), (30001, 30001 + _WIDE_LENGTH - 1)])
+    def test_fixed_wide_and_just_short_ranges(self, lo, hi):
+        assert product_range(lo, hi) == balanced_product(lo, hi)
+
     @settings(max_examples=25, deadline=None)
     @given(near(_WIDE_LENGTH, 3), st.integers(1, 3 * _WIDE_LENGTH))
     def test_around_the_length_threshold(self, n, lo):
@@ -302,6 +308,14 @@ class TestMul:
                 for b in values:
                     assert _mul(a, b) == a * b
 
+    def test_full_size_factors(self):
+        """1M-bit factors, a 2M-bit square and a negative factor, at the real cutoff."""
+        r = random.Random(20)
+        a, b, c = r.getrandbits(10**6), r.getrandbits(10**6), r.getrandbits(2 * 10**6)
+        assert _mul(a, b) == a * b
+        assert _mul(c, c) == c * c
+        assert _mul(-a, b) == -a * b
+
     def test_a_square_stays_a_square(self, monkeypatch):
         """Each of a square's five products is a square, at every level."""
         calls = []
@@ -390,6 +404,12 @@ class TestClosedForms:
             gap_sum_linear_closed(0, 1)
         with pytest.raises(ValueError):
             gap_sum_geometric_closed(1, 1)
+        with pytest.raises(ValueError, match="got 0"):
+            gap_sum_linear_closed(0, -1)  # a bad parameter is reported before the index
+        # A negative index is the IndexError of gap_sum(spec, -1).
+        for closed, param in ((gap_sum_linear_closed, 3), (gap_sum_geometric_closed, 2)):
+            with pytest.raises(IndexError, match="^sequence index must be >= 0, got -1$"):
+                closed(param, -1)
 
 
 class TestOracleEquivalence:

@@ -213,6 +213,11 @@ class TestBatchedGapsMatchPerN:
                 per_n(spec, n) for n in range(count)
             ]
 
+    @pytest.mark.parametrize("count", [-1, -5])
+    def test_negative_count_error_text(self, count):
+        with pytest.raises(ValueError, match=re.escape(f"count must be >= 0, got {count}")):
+            gap_sequence(gap_sum_between, Linear(1, 0), count)
+
 
 class TestPerNReadsTermPair:
     @settings(max_examples=300, deadline=None)
