@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import decimal
 import re
+import sys
 from decimal import Decimal
 from functools import cache
 from typing import ContextManager
@@ -89,6 +90,19 @@ def int_to_str(n: int) -> str:
         except ValueError:  # a digit limit lowered below n's length
             pass
     return str(to_decimal(n))
+
+
+def str_suits(values: list) -> bool:
+    """Whether the builtin str may print values: it refuses every int past
+    4300 digits, as under the default int/str digit limit or a lower one,
+    or values are ints of at most _STR_BITS bits. Where the limit is lifted
+    (0, or no limit before Python 3.10.7) str is quadratic at any length."""
+    if 0 < getattr(sys, "get_int_max_str_digits", int)() <= 4300:
+        return True
+    try:
+        return max(map(int.bit_length, values), default=0) <= _STR_BITS
+    except TypeError:  # a value that is not an int
+        return False
 
 
 def str_to_int(text: str) -> int:

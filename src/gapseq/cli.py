@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import oeis, tables
-from ._decimal import int_to_str
+from ._decimal import int_to_str, str_suits
 from ._record import as_dict
 from .combinatorics import fc_identity_sides, fuss_catalan, raney, raney_identity_sides
 from .gaps import (
@@ -49,14 +49,11 @@ from .gaps import (
     gap_sum_signed_between,
 )
 from .genfun import (
+    GF_KINDS,
     Poly,
     RatFunc,
     decimal_expansion,
-    horadam_gap_sum_gf,
     horadam_gf,
-    horadam_shift_gf,
-    horadam_shift_square_gf,
-    horadam_square_gf,
     integer_coefficients,
     ratfunc_to_text,
 )
@@ -203,14 +200,15 @@ Value = Union[int, Decimal, Fraction]
 def _write_joined(rows: Iterable, sep: str, render: Callable = lambda b, t: map(t, b)) -> None:
     """Write sep.join(render(batch, t)) to stdout for batches of rows,
     each as many rows as the last batch's text says fit in _WRITE_CHARS,
-    at most twice as many. render writes a value v as t(v), with t str,
-    or _text when str refuses an int past the digit limit."""
+    at most twice as many. render writes a value v as t(v), with t str
+    where str_suits the batch, and _text where it does not or where str
+    refuses an int past the digit limit."""
     write = sys.stdout.write
     rows = iter(rows)
     batch, lead = 64, ""
     while chunk := list(islice(rows, batch)):
         try:
-            text = sep.join(render(chunk, str))
+            text = sep.join(render(chunk, str if str_suits(chunk) else _text))
         except ValueError:
             text = sep.join(render(chunk, _text))
         write(lead + text)
@@ -318,18 +316,8 @@ def _cmd_gapprod(ns: argparse.Namespace) -> None:
     _emit_indexed(ns, {"command": "gapprod", "spec": ns.spec}, values)
 
 
-_GF_BUILDERS: dict[str, Callable[[Horadam], RatFunc]] = {
-    "plain": horadam_gf,
-    "shift": horadam_shift_gf,
-    "square": horadam_square_gf,
-    "square-shift": horadam_shift_square_gf,
-    "gapsum": horadam_gap_sum_gf,
-}
-
-
 def _cmd_gf(ns: argparse.Namespace) -> None:
-    spec = Horadam(*ns.horadam)
-    f = _GF_BUILDERS[ns.kind](spec)
+    f = horadam_gf(Horadam(*ns.horadam), ns.kind)
     expansion = decimal_expansion(f, ns.expand) if ns.expand is not None else None
     if ns.format == "json":
         num, den = integer_coefficients(f)
@@ -479,7 +467,7 @@ _COMMANDS: dict[str, tuple] = {
     "gf": ("Horadam generating functions", _cmd_gf, _FORMAT_CSV,
            _argument("--horadam", type=_int_list(4), required=True, metavar="A,B,R,S",
                      help=_LIST_HELP),
-           *_kind_flags(_GF_BUILDERS, "plain"),
+           *_kind_flags(GF_KINDS, "plain"),
            _argument("--expand", type=_nonneg, default=None, metavar="N")),
     "expand": ("expand num/den coefficient lists", _cmd_expand, _FORMAT_CSV,
                _argument("--num", type=_coeff_list, required=True, metavar="C0,C1,...",

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from ._decimal import exact
 from ._record import record
-from .sequences import SeqSpec, _index_error, _sieve, decimal_terms, terms
+from .sequences import SeqSpec, _check_count, _index_error, _sieve, decimal_terms, terms
 
 T = TypeVar("T")
 
@@ -81,16 +81,9 @@ def gap_product_between(a: int, b: int) -> int:
     return product_range(a + 1, b)
 
 
-def _term_count(count: int) -> int:
-    """The number of terms that count gaps span; a ValueError for a negative count."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    return count + 1
-
-
 def gap_sequence(stat: Callable[[int, int], T], spec: SeqSpec, count: int) -> list[T]:
     """stat(a_n, a_(n+1)) for n = 0 .. count-1, from one pass over the terms."""
-    values = terms(spec, 0, _term_count(count))
+    values = terms(spec, 0, _check_count(count) + 1)
     return list(map(stat, values, values[1:]))
 
 
@@ -104,7 +97,7 @@ def decimal_gap_sequence(stat: Callable[[int, int], int], spec: SeqSpec, count: 
     signed sum 0 * -97 // 2, into 0.
     """
     with exact():
-        values = decimal_terms(spec, 0, _term_count(count))
+        values = decimal_terms(spec, 0, _check_count(count) + 1)
         return [+v for v in map(stat, values, values[1:])]
 
 

@@ -1,18 +1,18 @@
 """Exact polynomial and rational-function algebra for ordinary generating
-functions, plus the builders for Horadam sequences, their shifts, their
-squares, and their gap-sums.
+functions, plus one builder for those of Horadam sequences, their
+shifts, their squares, and their gap-sums.
 
 Polynomials store Fraction coefficients in ascending order with no
 trailing zeros. Rational functions normalize on construction (common
 polynomial factors cancelled, denominator constant term scaled to 1), so
 ``==`` decides whether two of them denote the same power series.
 
-Every Horadam builder goes through ``ratfunc_from_terms``, which recovers
+The Horadam builder goes through ``ratfunc_from_terms``, which recovers
 the shortest linear recurrence of a run of terms by Berlekamp-Massey.
 That is exact, not a guess: C-finite sequences are closed under shifts,
 sums and termwise products (Kauers & Paule, *The Concrete Tetrahedron*,
 ch. 4), so each statistic of a Horadam pair has a recurrence of order at
-most ``ORDER``, and the builders feed more terms than determine it.
+most ``ORDER``, and the builder feeds more terms than determine it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Sequence, TypeVar, Union
 from ._decimal import exact, int_to_str, to_decimal
 from ._record import record
 from .gaps import gap_sequence, gap_sum_signed_between
-from .sequences import Horadam
+from .sequences import Horadam, _check_count
 
 Coeff = Union[int, Fraction]
 N = TypeVar("N")  # int, or an exact Decimal integer
@@ -159,8 +159,7 @@ class RatFunc:
 
     def _scaled_recurrence(self, count: int) -> tuple[int, int, list[int], list[int]]:
         """q, L, the integers L * num_i and the weights e_j * q^(j-1) of ``expand``."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        _check_count(count)
         num, den = self.num.coeffs, self.den.coeffs
         q = lcm(*(c.denominator for c in den))
         big_l = lcm(*(c.denominator for c in num))
@@ -256,33 +255,21 @@ def ratfunc_from_terms(seq: Sequence[Coeff]) -> RatFunc:
 ORDER = 5
 
 
-def _pair_gf(stat: Callable[[int, int], int], spec: Horadam) -> RatFunc:
-    return ratfunc_from_terms(gap_sequence(stat, spec, 2 * ORDER + 2))
+# kind -> its statistic of a Horadam pair (a_n, a_(n+1)), in gf's flag order.
+GF_KINDS: dict[str, Callable[[int, int], int]] = {
+    "plain": lambda a, b: a,
+    "shift": lambda a, b: b,
+    "square": lambda a, b: a * a,
+    "square-shift": lambda a, b: b * b,
+    "gapsum": gap_sum_signed_between,
+}
 
 
-def horadam_gf(spec: Horadam) -> RatFunc:
-    """Generating function of the Horadam sequence a_n that spec describes."""
-    return _pair_gf(lambda a, b: a, spec)
-
-
-def horadam_shift_gf(spec: Horadam) -> RatFunc:
-    """Generating function of the once-shifted sequence a_(n+1)."""
-    return _pair_gf(lambda a, b: b, spec)
-
-
-def horadam_square_gf(spec: Horadam) -> RatFunc:
-    """Generating function of the squared terms a_n**2."""
-    return _pair_gf(lambda a, b: a * a, spec)
-
-
-def horadam_shift_square_gf(spec: Horadam) -> RatFunc:
-    """Generating function of the shifted squares a_(n+1)**2."""
-    return _pair_gf(lambda a, b: b * b, spec)
-
-
-def horadam_gap_sum_gf(spec: Horadam) -> RatFunc:
-    """Generating function of the signed gap-sums of a Horadam sequence."""
-    return _pair_gf(gap_sum_signed_between, spec)
+def horadam_gf(spec: Horadam, kind: str = "plain") -> RatFunc:
+    """Generating function of the statistic GF_KINDS[kind] of a Horadam sequence."""
+    if kind not in GF_KINDS:
+        raise ValueError(f"unknown gf kind {kind!r}; expected one of {', '.join(GF_KINDS)}")
+    return ratfunc_from_terms(gap_sequence(GF_KINDS[kind], spec, 2 * ORDER + 2))
 
 
 def integer_coefficients(f: RatFunc) -> tuple[list[int], list[int]]:

@@ -200,9 +200,7 @@ def _run(spec: SeqSpec, n0: int, count: int, lift: Callable[[int], N]) -> list:
     steps on."""
     if n0 < 0:
         raise _index_error(n0)
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if count == 0:
+    if _check_count(count) == 0:
         return []
     end = n0 + count
     match spec:
@@ -254,6 +252,13 @@ def _horadam_run(a: N, b: N, r: N, s: N, count: int) -> list[N]:
 
 def _index_error(n: int) -> IndexError:
     return IndexError(f"sequence index must be >= 0, got {n}")
+
+
+def _check_count(count: int) -> int:
+    """count, or a ValueError if it is negative."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    return count
 
 
 def _explicit_range_error(values: tuple[int, ...], n: int) -> IndexError:

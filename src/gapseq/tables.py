@@ -18,7 +18,7 @@ from typing import Callable, Optional, Union
 from ._record import record
 from .combinatorics import as_integer, raney
 from .gaps import gap_product_between, gap_sequence, gap_sum_between, gap_sum_signed_between
-from .genfun import Poly, RatFunc, horadam_gap_sum_gf, horadam_gf, ratfunc_to_text
+from .genfun import Poly, RatFunc, horadam_gf, ratfunc_to_text
 from .sequences import Binomial, Horadam, Linear, Polynomial, SeqSpec
 
 HALF = Fraction(1, 2)
@@ -266,7 +266,7 @@ def horadam_table() -> RefTable:
     rows = []
     corrections = [HALF_FACTOR_NOTE]
     for spec, label, published_gf, published_terms in PUBLISHED_HORADAM_ROWS:
-        built = horadam_gap_sum_gf(spec)
+        built = horadam_gf(spec, "gapsum")
         sums = gap_sequence(gap_sum_signed_between, spec, SHOWN_SUMS)
         rows.append(
             (

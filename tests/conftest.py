@@ -1,6 +1,7 @@
 import contextlib
 import random
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,13 @@ def sized_ints():
         st.sampled_from(EDGE_DIGITS).map(lambda d: 10**d),
     )
     return st.builds(lambda m, negative: -m if negative else m, magnitudes, st.booleans())
+
+
+def balanced_product(lo: int, hi: int) -> int:
+    """The balanced split product_range used for every range before it
+    gained the prime-exponent path: the reference for both paths."""
+    n = hi - lo
+    if n <= 64:
+        return prod(range(lo, hi))
+    mid = lo + n // 2
+    return balanced_product(lo, mid) * balanced_product(mid, hi)

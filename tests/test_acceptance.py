@@ -24,7 +24,7 @@ from gapseq.gaps import (
     gap_sum_linear_closed,
     gap_sum_signed,
 )
-from gapseq.genfun import Poly, RatFunc, horadam_gap_sum_gf, horadam_square_gf, ratfunc
+from gapseq.genfun import Poly, RatFunc, horadam_gf, ratfunc
 from gapseq.oeis import cross_check, parse_bfile
 from gapseq.sequences import (
     FIBONACCI,
@@ -83,9 +83,9 @@ def test_criterion_04_geometric_gap_sums_and_gfs():
     _report(4, "geometric k=2 and 2^n-1 gap-sums with their g.f.s")
 
 
-def test_criterion_05_horadam_gap_sum_gf_suite():
+def test_criterion_05_horadam_gapsum_gf_suite():
     for spec, label, published_gf, published_terms in PUBLISHED_HORADAM_ROWS:
-        built = horadam_gap_sum_gf(spec)
+        built = horadam_gf(spec, "gapsum")
         if published_gf is not None:
             assert built == published_gf, label
         expansion = built.expand(40)
@@ -95,7 +95,7 @@ def test_criterion_05_horadam_gap_sum_gf_suite():
 
 
 def test_criterion_06_squared_horadam_gf():
-    built = horadam_square_gf(Horadam(1, 3, 1, 2))
+    built = horadam_gf(Horadam(1, 3, 1, 2), "square")
     assert built == ratfunc((1, 6, -8), (1, -3, -6, 8))
     assert built.expand(5) == [1, 9, 25, 121, 441]
     _report(6, "g_2(1,3,1,2) normalized form and squared expansion")

@@ -14,7 +14,6 @@ import random
 import sys
 import threading
 from itertools import takewhile
-from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +26,8 @@ from gapseq.folding import a088748, fold, walk
 from gapseq.gaps import _WIDE_LENGTH as WIDE
 from gapseq.gaps import gap_between, gap_span_between, product_range
 from gapseq.sequences import nth_prime, terms
+
+from conftest import balanced_product
 
 
 def _trial_division_primes(count: int) -> list[int]:
@@ -142,7 +143,7 @@ class TestPrimeTable:
                     assert nth_prime(arg) == PRIMES[arg]
                 else:
                     lo = arg - WIDE
-                    assert product_range(lo, arg) == factorial(arg - 1) // factorial(lo - 1)
+                    assert product_range(lo, arg) == balanced_product(lo, arg)
                 assert_prime_prefix()
             assert [nth_prime(n) for n in (0, 1, 999, 7999)] == [PRIMES[n] for n in (0, 1, 999, 7999)]
 
@@ -227,7 +228,7 @@ def test_concurrent_readers_from_fresh_caches():
     each also sieves the prime table through one wide product."""
     failures = []
     start = threading.Barrier(8)
-    wide = {hi: factorial(hi - 1) // factorial(hi - WIDE - 1) for hi in (2 * WIDE, 5 * WIDE)}
+    wide = {hi: balanced_product(hi - WIDE, hi) for hi in (2 * WIDE, 5 * WIDE)}
 
     def reader(seed: int) -> None:
         rng = random.Random(seed)

@@ -13,12 +13,13 @@ from pathlib import Path
 import pytest
 
 import gapseq
+import gapseq._decimal as _decimal
 import gapseq.cli as cli
 import gapseq.oeis as oeis
 from gapseq.cli import SpecParseError, parse_spec, run
 from gapseq.combinatorics import fuss_catalan, raney
 from gapseq.gaps import gap, gap_product, gap_sum, gap_sum_abs, gap_sum_signed
-from gapseq.genfun import horadam_gap_sum_gf, horadam_square_gf, ratfunc, ratfunc_to_text
+from gapseq.genfun import GF_KINDS, horadam_gf, ratfunc, ratfunc_to_text
 from gapseq.sequences import (
     FIBONACCI,
     Binomial,
@@ -243,18 +244,23 @@ class TestGfCommand:
             capsys, ["gf", "--horadam", "1,2,2,2", "--gapsum", "--expand", "7"]
         )
         lines = out.strip().splitlines()
-        f = horadam_gap_sum_gf(Horadam(1, 2, 2, 2))
+        f = horadam_gf(Horadam(1, 2, 2, 2), "gapsum")
         assert lines[0] == ratfunc_to_text(f)
         assert lines[1].split() == [str(v) for v in f.expand(7)]
         assert lines[1] == "0 12 99 810 6150 46368 347004"
 
     def test_square_mode(self, capsys):
         out = run_ok(capsys, ["gf", "--horadam", "1,3,1,2", "--square"])
-        assert out.strip() == ratfunc_to_text(horadam_square_gf(Horadam(1, 3, 1, 2)))
+        assert out.strip() == ratfunc_to_text(horadam_gf(Horadam(1, 3, 1, 2), "square"))
 
     def test_default_is_plain(self, capsys):
         out = run_ok(capsys, ["gf", "--horadam", "0,1,1,1"])
         assert out.strip() == "(x) / (1 - x - x^2)"
+
+    def test_kind_flags_are_the_gf_kinds(self):
+        gf = _subparsers(cli.build_parser("gf"))["gf"]
+        flags = [a.option_strings for a in gf._actions if a.dest == "kind"]
+        assert flags == [[f"--{kind}"] for kind in GF_KINDS]
 
     def test_json_document(self, capsys):
         doc = json.loads(
@@ -264,7 +270,7 @@ class TestGfCommand:
                  "--format", "json"],
             )
         )
-        f = horadam_gap_sum_gf(Horadam(1, 1, 1, 2))
+        f = horadam_gf(Horadam(1, 1, 1, 2), "gapsum")
         assert doc["text"] == ratfunc_to_text(f)
         assert doc["expansion"] == [int(v) for v in f.expand(5)]
 
@@ -657,6 +663,17 @@ class TestDigitLimit:
                     f'{{"index": 11, "expected": {"7" * 5000}, "got": {got}}}}}\n',
         }[fmt]
         assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_lifted_limit_prints_long_ints_through_decimal(self, capsys, monkeypatch, fmt):
+        argv = ["gapprod", "--spec", "geom:2", "--count", "12", "--format", fmt]
+        want = run_ok(capsys, argv)
+        converted, to_decimal = [], _decimal.to_decimal
+        monkeypatch.setattr(_decimal, "to_decimal", lambda n: converted.append(n) or to_decimal(n))
+        with int_digit_limit(0):
+            assert run_ok(capsys, argv) == want
+        long = [v for v in self.PRODUCTS if v.bit_length() > _decimal._STR_BITS]
+        assert long and converted == long
 
     @pytest.mark.parametrize("argv", [
         ["gapprod", "--spec", "geom:2", "--count", "12", "--format", "text"],

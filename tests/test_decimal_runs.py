@@ -25,22 +25,12 @@ from gapseq.gaps import (
     gap_sum_between,
     gap_sum_signed_between,
 )
-from gapseq.genfun import (
-    decimal_expansion,
-    horadam_gap_sum_gf,
-    horadam_gf,
-    horadam_shift_gf,
-    horadam_shift_square_gf,
-    horadam_square_gf,
-    ratfunc,
-)
+from gapseq.genfun import GF_KINDS, decimal_expansion, horadam_gf, ratfunc
 from gapseq.sequences import FIBONACCI, Geometric, Horadam, Linear, Primes, decimal_terms, terms
 
 from conftest import HAS_DIGIT_LIMIT, int_digit_limit, sized_ints
 
 GAP_SUMS = (gap_sum_between, gap_sum_signed_between, gap_sum_abs_between)
-GF_BUILDERS = (horadam_gf, horadam_shift_gf, horadam_square_gf, horadam_shift_square_gf,
-               horadam_gap_sum_gf)
 
 horadams = st.builds(
     Horadam, st.integers(-9, 9), st.integers(-9, 9), st.integers(-5, 5), st.integers(-5, 5),
@@ -181,10 +171,10 @@ class TestDecimalExpansion:
         assert all(isinstance(v, Decimal) for v in got)
 
     @settings(max_examples=100, deadline=None)
-    @given(horadams, st.sampled_from(GF_BUILDERS), st.integers(0, 200))
-    def test_horadam_gfs_match_expand(self, spec, build, count):
+    @given(horadams, st.sampled_from(list(GF_KINDS)), st.integers(0, 200))
+    def test_horadam_gfs_match_expand(self, spec, kind, count):
         try:
-            f = build(spec)
+            f = horadam_gf(spec, kind)
         except ArithmeticError:  # degenerate seeds the builders reject
             return
         assert texts(decimal_expansion(f, count)) == texts(f.expand(count))

@@ -38,6 +38,8 @@ from gapseq.sequences import (
     term,
 )
 
+from conftest import balanced_product
+
 HALF = Fraction(1, 2)
 
 # Sequences the whole battery of oracle checks runs over.
@@ -151,16 +153,6 @@ class TestGapProduct:
     def test_linear_3n_plus_1(self):
         assert gap_product(Linear(3, 1), 1) == 30
         assert [gap_product(Linear(3, 1), n) for n in range(6)] == [6, 30, 72, 132, 210, 306]
-
-
-def balanced_product(lo: int, hi: int) -> int:
-    """The balanced split product_range used for every range before it
-    gained the prime-exponent path: the reference for both paths."""
-    n = hi - lo
-    if n <= 64:
-        return prod(range(lo, hi))
-    mid = lo + n // 2
-    return balanced_product(lo, mid) * balanced_product(mid, hi)
 
 
 def near(edge: int, reach: int):

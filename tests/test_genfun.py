@@ -11,13 +11,11 @@ from gapseq.gaps import gap_sequence, gap_sum_signed, gap_sum_signed_between
 from gapseq.genfun import (
     Poly,
     RatFunc,
-    horadam_gap_sum_gf,
+    GF_KINDS,
     horadam_gf,
-    horadam_shift_gf,
-    horadam_shift_square_gf,
-    horadam_square_gf,
     integer_coefficients,
     poly_divmod,
+    poly_exact_div,
     poly_gcd,
     ratfunc,
     ratfunc_from_terms,
@@ -61,6 +59,7 @@ class TestPoly:
         p = Poly((1, 2))
         q = Poly((0, 1))
         assert p * q == Poly((0, 1, 2))
+        assert Poly() * p == Poly()
 
     def test_divmod(self):
         a = Poly((1, 0, -1))  # (1-x)(1+x)
@@ -68,6 +67,11 @@ class TestPoly:
         q, r = poly_divmod(a, b)
         assert q == Poly((1, 1))
         assert not r
+        assert poly_exact_div(a, b) == q
+        with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+            poly_divmod(a, Poly())
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            poly_exact_div(a, Poly((1, -2)))
 
     def test_gcd_monic(self):
         a = Poly((1, -1)) * Poly((1, -2))
@@ -75,6 +79,7 @@ class TestPoly:
         g = poly_gcd(a, b)
         assert g == Poly((-1, 1))  # the common factor 1 - x, made monic
         assert g.coeffs[-1] == 1
+        assert poly_gcd(Poly(), Poly()) == Poly()
 
 
 class TestRatFuncNormalization:
@@ -117,6 +122,11 @@ class TestExpand:
     def test_count_zero(self):
         assert ratfunc((1,), (1, -1)).expand(0) == []
 
+    def test_negative_count(self):
+        with pytest.raises(ValueError) as err:
+            ratfunc((1,), (1, -1)).expand(-1)
+        assert str(err.value) == "count must be >= 0, got -1"
+
     @given(
         num=st.lists(rationals, max_size=6),
         den=st.lists(rationals, min_size=1, max_size=6).filter(lambda d: d[0] != 0),
@@ -133,7 +143,7 @@ class TestExpand:
     @pytest.mark.parametrize("a,b", [(0, 1), (2, 5), (3, -4)])
     def test_gap_sum_gf_at_benchmark_scale(self, a, b):
         spec = Horadam(a, b, 2, 2)
-        expansion = horadam_gap_sum_gf(spec).expand(2300)
+        expansion = horadam_gf(spec, "gapsum").expand(2300)
         assert expansion == gap_sequence(gap_sum_signed_between, spec, 2300)
 
 
@@ -164,56 +174,63 @@ class TestHoradamGf:
     def test_shift_resolved_via_seeds(self):
         assert horadam_gf(Horadam(0, 1, 1, 2, shift=2)) == horadam_gf(Horadam(1, 3, 1, 2))
 
+    def test_unknown_kind_names_the_kinds(self):
+        with pytest.raises(ValueError) as err:
+            horadam_gf(Horadam(0, 1, 1, 1), "cube")
+        assert str(err.value) == (
+            "unknown gf kind 'cube'; expected one of plain, shift, square, square-shift, gapsum"
+        )
+
 
 class TestHoradamShiftGf:
     def test_j_plus_2(self):
-        f = horadam_shift_gf(Horadam(1, 3, 1, 2))
+        f = horadam_gf(Horadam(1, 3, 1, 2), "shift")
         assert f == ratfunc((3, 2), (1, -1, -2))
         assert f.expand(4) == [3, 5, 11, 21]
 
     def test_fibonacci_shift(self):
-        assert horadam_shift_gf(Horadam(0, 1, 1, 1)) == ratfunc((1,), (1, -1, -1))
+        assert horadam_gf(Horadam(0, 1, 1, 1), "shift") == ratfunc((1,), (1, -1, -1))
 
     def test_zero_seeds(self):
-        f = horadam_shift_gf(Horadam(0, 0, 3, 5))
+        f = horadam_gf(Horadam(0, 0, 3, 5), "shift")
         assert f.num == Poly(())
 
 
 class TestHoradamSquareGf:
     def test_j_plus_2_printed_form(self):
-        f = horadam_square_gf(Horadam(1, 3, 1, 2))
+        f = horadam_gf(Horadam(1, 3, 1, 2), "square")
         assert f == ratfunc((1, 6, -8), (1, -3, -6, 8))
         assert f.expand(5) == [1, 9, 25, 121, 441]
 
     def test_fibonacci_squares(self):
-        f = horadam_square_gf(Horadam(0, 1, 1, 1))
+        f = horadam_gf(Horadam(0, 1, 1, 1), "square")
         assert f.expand(7) == [0, 1, 1, 4, 9, 25, 64]
 
     def test_constant_then_zero(self):
-        assert horadam_square_gf(Horadam(1, 0, 0, 0)).expand(3) == [1, 0, 0]
+        assert horadam_gf(Horadam(1, 0, 0, 0), "square").expand(3) == [1, 0, 0]
 
     def test_shifted_squares_j_plus_2(self):
-        f = horadam_shift_square_gf(Horadam(1, 3, 1, 2))
+        f = horadam_gf(Horadam(1, 3, 1, 2), "square-shift")
         assert f == ratfunc((9, -2, -8), (1, -3, -6, 8))
         assert f.expand(4) == [9, 25, 121, 441]
 
     def test_shifted_squares_fibonacci(self):
-        f = horadam_shift_square_gf(Horadam(0, 1, 1, 1))
+        f = horadam_gf(Horadam(0, 1, 1, 1), "square-shift")
         assert f.expand(5) == [1, 1, 4, 9, 25]
 
     def test_shifted_squares_zero(self):
-        assert horadam_shift_square_gf(Horadam(0, 0, 2, 3)).num == Poly(())
+        assert horadam_gf(Horadam(0, 0, 2, 3), "square-shift").num == Poly(())
 
 
 class TestHoradamGapSumGf:
     def test_1222_example(self):
-        f = horadam_gap_sum_gf(Horadam(1, 2, 2, 2))
+        f = horadam_gf(Horadam(1, 2, 2, 2), "gapsum")
         want = RatFunc(Poly((0, 12, 3, -6)), Poly((1, -2, -2)) * Poly((1, -6, -12, 8)))
         assert f == want
         assert f.expand(7) == [0, 12, 99, 810, 6150, 46368, 347004]
 
     def test_fibonacci_shifted_row(self):
-        f = horadam_gap_sum_gf(Horadam(1, 1, 1, 1))
+        f = horadam_gf(Horadam(1, 1, 1, 1), "gapsum")
         want = RatFunc(
             Poly((1, -3, -1, 1)).scale(-1), Poly((1, -1, -1)) * Poly((1, -2, -2, 1))
         )
@@ -221,13 +238,13 @@ class TestHoradamGapSumGf:
         assert f.expand(8) == [-1, 0, 0, 4, 13, 42, 119, 330]
 
     def test_pell_shifted_row(self):
-        f = horadam_gap_sum_gf(Horadam(1, 2, 2, 1))
+        f = horadam_gf(Horadam(1, 2, 2, 1), "gapsum")
         want = RatFunc(Poly((0, 7, 2, -1)), Poly((1, -2, -1)) * Poly((1, -5, -5, 1)))
         assert f == want
         assert f.expand(6) == [0, 7, 51, 328, 1980, 11711]
 
     def test_jacobsthal_shifted_row_reduces(self):
-        f = horadam_gap_sum_gf(Horadam(1, 1, 1, 2))
+        f = horadam_gf(Horadam(1, 1, 1, 2), "gapsum")
         want = RatFunc(Poly((1, -6)).scale(-1), Poly((1, -2)) * Poly((1, -2, -8)))
         assert f == want
         assert f.expand(8) == [-1, 2, 4, 40, 144, 672, 2624, 10880]
@@ -235,7 +252,7 @@ class TestHoradamGapSumGf:
     @pytest.mark.parametrize("params", GAP_SUM_GF_PARAMS)
     def test_expansion_matches_signed_gap_sums(self, params):
         spec = Horadam(*params)
-        expansion = horadam_gap_sum_gf(spec).expand(40)
+        expansion = horadam_gf(spec, "gapsum").expand(40)
         assert expansion == [gap_sum_signed(spec, n) for n in range(40)]
 
 
@@ -266,14 +283,14 @@ class TestGfProperties:
     @settings(max_examples=80)
     def test_square_gfs_match_squared_terms(self, spec):
         window = terms(spec, 0, 41)
-        assert horadam_square_gf(spec).expand(40) == [v * v for v in window[:40]]
-        assert horadam_shift_square_gf(spec).expand(40) == [v * v for v in window[1:]]
+        assert horadam_gf(spec, "square").expand(40) == [v * v for v in window[:40]]
+        assert horadam_gf(spec, "square-shift").expand(40) == [v * v for v in window[1:]]
 
     @edge_specs
     @given(spec=horadam_specs)
     @settings(max_examples=60)
     def test_gap_sum_gf_matches_signed_sums(self, spec):
-        expansion = horadam_gap_sum_gf(spec).expand(30)
+        expansion = horadam_gf(spec, "gapsum").expand(30)
         assert expansion == [gap_sum_signed(spec, n) for n in range(30)]
 
     @given(
@@ -295,7 +312,7 @@ class TestGfProperties:
 
 class TestRendering:
     def test_text_form(self):
-        f = horadam_gap_sum_gf(Horadam(1, 2, 2, 2))
+        f = horadam_gf(Horadam(1, 2, 2, 2), "gapsum")
         text = ratfunc_to_text(f)
         assert text.startswith("(12x + 3x^2 - 6x^3) / (1 - 8x - 2x^2")
         assert parsed(text) == f
@@ -315,19 +332,13 @@ class TestRendering:
         assert ratfunc_to_text(f) == "(x) / (1 - x - x^2)"
 
     def test_integer_coefficients_preserve_value(self):
-        f = horadam_gap_sum_gf(Horadam(0, 1, 1, 1))
+        f = horadam_gf(Horadam(0, 1, 1, 1), "gapsum")
         num, den = integer_coefficients(f)
         assert ratfunc(num, den) == f
 
     @pytest.mark.parametrize("params", GAP_SUM_GF_PARAMS)
     def test_round_trip_all_builders(self, params):
         spec = Horadam(*params)
-        for builder in (
-            horadam_gf,
-            horadam_shift_gf,
-            horadam_square_gf,
-            horadam_shift_square_gf,
-            horadam_gap_sum_gf,
-        ):
-            f = builder(spec)
+        for kind in GF_KINDS:
+            f = horadam_gf(spec, kind)
             assert parsed(ratfunc_to_text(f)) == f

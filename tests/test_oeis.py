@@ -304,10 +304,24 @@ class TestParseMatchesReference:
     @given(text=canonical_bfile_texts())
     @example(text="# a\rb\n0 1\n")  # "\r" breaks the comment line in two
     @example(text="-2 5\n-1 6\n0 7\n")
+    # One field short: the skeleton is canonical, the split is not.
+    @example(text="0 1\n1 \n")
+    @example(text=" 5\n")
+    @example(text="0 1\n1 2\n2 \n3 4\n")
     def test_same_on_canonical_rows(self, block, text):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oeis, "_BLOCK", block)
             assert_parses_as_reference(text)
+
+    @pytest.mark.parametrize("text, message", [
+        (b"0 1\n1 \n", "line 2: expected '<index> <value>', got '1 '"),
+        (b" 5\n", "line 1: expected '<index> <value>', got ' 5'"),
+        (b"0 1\n1 2\n2 \n3 4\n", "line 3: expected '<index> <value>', got '2 '"),
+    ], ids=["last-row", "only-row", "middle-row"])
+    def test_row_one_field_short(self, text, message):
+        with pytest.raises(BFileError) as info:
+            parse_bfile(text)
+        assert str(info.value) == message
 
     def test_canonical_blocks_skip_the_line_loop(self, monkeypatch):
         # Only the line loop calls str_to_int.

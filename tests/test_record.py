@@ -303,6 +303,18 @@ def test_post_init_is_looked_up_on_each_call(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("arity", [0, 3, 4])
+def test_post_init_runs_at_every_arity(arity):
+    """No gapseq record of these arities has a __post_init__ of its own."""
+    names = "abcd"[:arity]
+    seen = []
+    body = {"__annotations__": dict.fromkeys(names, int),
+            "__post_init__": lambda self: seen.append([getattr(self, n) for n in names])}
+    cls = record(type(f"Arity{arity}", (), body))
+    cls(*range(arity))
+    assert seen == [list(range(arity))]
+
+
 def test_record_refuses_a_default_before_a_required_field_and_own_methods():
     """dataclass refuses the first two as well; it would keep the third's
     own __repr__, which record refuses to replace."""
@@ -327,3 +339,6 @@ def test_record_refuses_a_default_before_a_required_field_and_own_methods():
 
             def __repr__(self):
                 return "mine"
+
+    with pytest.raises(TypeError, match="a record has at most 5 fields, none named 'self'"):
+        record(type("SixFields", (), {"__annotations__": dict.fromkeys("abcdef", int)}))

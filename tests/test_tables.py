@@ -2,7 +2,7 @@ from math import comb
 
 from gapseq import tables
 from gapseq.gaps import gap_sequence, gap_sum_between, gap_sum_signed
-from gapseq.genfun import horadam_gap_sum_gf, ratfunc_from_terms
+from gapseq.genfun import horadam_gf, ratfunc_from_terms
 from gapseq.sequences import Binomial, terms
 
 
@@ -75,7 +75,7 @@ class TestHoradamTable:
     def test_published_gfs_equal_built_gfs(self):
         for spec, _, published_gf, _ in tables.PUBLISHED_HORADAM_ROWS:
             if published_gf is not None:
-                assert horadam_gap_sum_gf(spec) == published_gf
+                assert horadam_gf(spec, "gapsum") == published_gf
 
     def test_published_terms_match_signed_sums(self):
         for spec, _, _, published_terms in tables.PUBLISHED_HORADAM_ROWS:
@@ -86,6 +86,18 @@ class TestHoradamTable:
         table = tables.horadam_table()
         assert table.corrections == (tables.HALF_FACTOR_NOTE,)
         assert len(table.rows) == 5
+
+    def test_wrong_published_cells_are_corrected(self, monkeypatch):
+        fib, jac = tables.PUBLISHED_HORADAM_ROWS[:2]
+        monkeypatch.setattr(tables, "PUBLISHED_HORADAM_ROWS", (
+            (fib[0], fib[1], horadam_gf(fib[0]), fib[3]),
+            (jac[0], jac[1], jac[2], (-1, 2, 5, 40)),
+        ))
+        assert tables.horadam_table().corrections == (
+            tables.HALF_FACTOR_NOTE,
+            "F(n+1): published gap-sum g.f. differs from the built one",
+            "J(n+1): published S_2 = 5, recomputed 4",
+        )
 
 
 class TestRendering:
