@@ -25,7 +25,6 @@ import re
 import sys
 from decimal import Decimal
 from functools import cache
-from typing import ContextManager
 
 _CONTEXT = decimal.Context(
     prec=decimal.MAX_PREC,
@@ -52,8 +51,8 @@ _LEAF_DIGITS = 600
 _DIGIT_RUN = re.compile(r"[+-]?[0-9]+")
 
 
-def exact() -> ContextManager[decimal.Context]:
-    """A ``with`` block running under the exact context."""
+def exact():
+    """A ``with`` block running under the exact context (``decimal.localcontext``)."""
     return decimal.localcontext(_CONTEXT)
 
 

@@ -21,9 +21,6 @@ records, but no lists or tuples of them.
 
 from __future__ import annotations
 
-from typing import Any, TypeVar
-
-T = TypeVar("T")
 _object_setattr = object.__setattr__
 
 
@@ -31,30 +28,30 @@ class FrozenRecordError(AttributeError):
     """An assignment to, or deletion of, an attribute of a record."""
 
 
-def _values(self: Any) -> tuple:
+def _values(self: object) -> tuple:
     return tuple([getattr(self, name) for name in self.__match_args__])
 
 
-def _eq(self: Any, other: object) -> Any:
+def _eq(self: object, other: object) -> object:
     if other.__class__ is self.__class__:
         return _values(self) == _values(other)
     return NotImplemented
 
 
-def _hash(self: Any) -> int:
+def _hash(self: object) -> int:
     return hash(_values(self))
 
 
-def _repr(self: Any) -> str:
+def _repr(self: object) -> str:
     fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
     return f"{self.__class__.__qualname__}({fields})"
 
 
-def _setattr(self: Any, name: str, value: object) -> None:
+def _setattr(self: object, name: str, value: object) -> None:
     raise FrozenRecordError(f"cannot assign to field {name!r}")
 
 
-def _delattr(self: Any, name: str) -> None:
+def _delattr(self: object, name: str) -> None:
     raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
@@ -64,14 +61,14 @@ def _delattr(self: Any, name: str) -> None:
 # arguments, and raises the TypeErrors, of a plain Python function.
 
 
-def _init0(names: tuple[str, ...], post_init: bool) -> Any:
+def _init0(names: tuple[str, ...], post_init: bool) -> object:
     def __init__(self):
         if post_init:
             self.__post_init__()
     return __init__
 
 
-def _init1(names: tuple[str, ...], post_init: bool) -> Any:
+def _init1(names: tuple[str, ...], post_init: bool) -> object:
     (a,) = names
 
     def __init__(self, x_a):
@@ -81,7 +78,7 @@ def _init1(names: tuple[str, ...], post_init: bool) -> Any:
     return __init__
 
 
-def _init2(names: tuple[str, ...], post_init: bool) -> Any:
+def _init2(names: tuple[str, ...], post_init: bool) -> object:
     a, b = names
 
     def __init__(self, x_a, x_b):
@@ -92,7 +89,7 @@ def _init2(names: tuple[str, ...], post_init: bool) -> Any:
     return __init__
 
 
-def _init3(names: tuple[str, ...], post_init: bool) -> Any:
+def _init3(names: tuple[str, ...], post_init: bool) -> object:
     a, b, c = names
 
     def __init__(self, x_a, x_b, x_c):
@@ -104,7 +101,7 @@ def _init3(names: tuple[str, ...], post_init: bool) -> Any:
     return __init__
 
 
-def _init4(names: tuple[str, ...], post_init: bool) -> Any:
+def _init4(names: tuple[str, ...], post_init: bool) -> object:
     a, b, c, d = names
 
     def __init__(self, x_a, x_b, x_c, x_d):
@@ -117,7 +114,7 @@ def _init4(names: tuple[str, ...], post_init: bool) -> Any:
     return __init__
 
 
-def _init5(names: tuple[str, ...], post_init: bool) -> Any:
+def _init5(names: tuple[str, ...], post_init: bool) -> object:
     a, b, c, d, e = names
 
     def __init__(self, x_a, x_b, x_c, x_d, x_e):
@@ -134,7 +131,7 @@ def _init5(names: tuple[str, ...], post_init: bool) -> Any:
 _INITS = (_init0, _init1, _init2, _init3, _init4, _init5)
 
 
-def record(cls: type[T]) -> type[T]:
+def record(cls: type) -> type:
     """Make cls a frozen record over its annotated fields (see the module docstring)."""
     names = tuple(cls.__dict__.get("__annotations__", {}))
     defaults = [cls.__dict__[name] for name in names if name in cls.__dict__]
@@ -157,7 +154,7 @@ def record(cls: type[T]) -> type[T]:
     return cls
 
 
-def as_dict(obj: Any) -> dict[str, Any]:
+def as_dict(obj: object) -> dict[str, object]:
     """The fields of record obj as a dict, a field holding a record as
     that record's dict."""
     fields = {name: getattr(obj, name) for name in obj.__match_args__}

@@ -29,11 +29,10 @@ import locale  # noqa: F401
 import os
 import shutil  # noqa: F401
 import sys
+from collections.abc import Callable, Iterable, Sequence
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
-from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import oeis, tables
 from ._decimal import int_to_str, str_suits
@@ -129,13 +128,26 @@ def parse_spec(text: str) -> SeqSpec:
         raise SpecParseError(str(exc), text, base) from exc
 
 
+def _rational(text: str) -> Fraction:
+    """Fraction(text), within the int/str digit limit (4300 digits where it
+    is lifted or absent) like every command-line number. An exponent that
+    would take the value past it is refused before Fraction computes
+    10**exponent, which for 1e999999999 would seem to hang."""
+    mantissa, e, exponent = text.lower().rpartition("e")
+    if e:
+        limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
+        if sum(map(str.isdigit, mantissa)) + abs(int(exponent)) > limit:
+            raise ValueError(f"{text!r} has more than {limit} digits")
+    return Fraction(text)
+
+
 # family -> (class, argument counts, or None for one list of any length, argument type)
-_FAMILIES: dict[str, tuple[Callable[..., SeqSpec], Optional[tuple[int, ...]], type]] = {
+_FAMILIES: dict[str, tuple[Callable[..., SeqSpec], tuple[int, ...] | None, type]] = {
     "linear": (Linear, (2,), int),
     "geom": (Geometric, (1, 2), int),
     "binom": (Binomial, (2,), int),
     "horadam": (Horadam, (4, 5), int),
-    "poly": (Polynomial, None, Fraction),
+    "poly": (Polynomial, None, _rational),
     "explicit": (Explicit, None, int),
 }
 
@@ -175,7 +187,7 @@ def _int_list(count: int) -> Callable[[str], tuple[int, ...]]:
 
 def _coeff_list(text: str) -> tuple[Fraction, ...]:
     try:
-        return tuple(Fraction(p.strip()) for p in text.split(","))
+        return tuple(_rational(p.strip()) for p in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"bad coefficient list {text!r}") from None
 
@@ -194,7 +206,7 @@ def _a_number(text: str) -> str:
 # enough that no output is ever held whole.
 _WRITE_CHARS = 1 << 16
 
-Value = Union[int, Decimal, Fraction]
+Value = int | Decimal | Fraction
 
 
 def _write_joined(rows: Iterable, sep: str, render: Callable = lambda b, t: map(t, b)) -> None:
@@ -365,7 +377,7 @@ def _cmd_check_identity(ns: argparse.Namespace) -> int:
         payload = {"command": "check-identity", "identity": "raney", "k": k, "r": r, "n": n}
     ok = lhs == rhs
     if ns.format == "json":
-        print(json.dumps(dict(payload, holds=ok, detail=detail)))
+        print(_json(dict(payload, holds=ok, detail=detail)))
     else:
         print(f"{detail}: {'holds' if ok else 'FAILS'}")
     return 0 if ok else 1
@@ -382,13 +394,13 @@ _TABLE_BUILDERS: dict[str, Callable[[], list[tables.RefTable]]] = {
 def _cmd_table(ns: argparse.Namespace) -> None:
     built = _TABLE_BUILDERS[ns.name]()
     if ns.format == "json":
-        print(json.dumps([as_dict(t) for t in built]))
+        print(_json([as_dict(t) for t in built]))
     else:
         print("\n".join(tables.render_table(t) for t in built), end="")
 
 
 # check-oeis kinds: the statistic of each consecutive pair, or None for the terms.
-_KIND_FUNCS: dict[str, Optional[Callable[[int, int], int]]] = {
+_KIND_FUNCS: dict[str, Callable[[int, int], int] | None] = {
     "terms": None,
     "gapsum": gap_sum_between,
     "gapprod": gap_product_between,
@@ -398,7 +410,8 @@ _KIND_FUNCS: dict[str, Optional[Callable[[int, int], int]]] = {
 def _cmd_check_oeis(ns: argparse.Namespace) -> int:
     spec = parse_spec(ns.spec)
     if ns.bfile is not None:
-        bfile = oeis.parse_bfile(Path(ns.bfile).read_bytes(), ns.id)
+        with open(ns.bfile, "rb") as fh:
+            bfile = oeis.parse_bfile(fh.read(), ns.id)
     else:
         bfile = oeis.fetch_bfile(ns.id)
     count = ns.count if ns.count is not None else len(bfile.values) + ns.max_shift
@@ -500,7 +513,7 @@ _COMMANDS: dict[str, tuple] = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of ``command`` alone. The top level takes
     only -h, so an argv that starts with ``command`` parses alike in both."""
     parser = argparse.ArgumentParser(
@@ -517,7 +530,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: Optional[Sequence[str]] = None) -> int:
+def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, execute one subcommand, and return the exit code."""
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)

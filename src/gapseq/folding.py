@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import threading
+from _thread import allocate_lock
 from itertools import accumulate
 
 from .gaps import gap_sum_abs
@@ -21,7 +21,7 @@ def fold(n: int) -> int:
     return 1 if n % 4 == 2 else 0
 
 
-_WALK_LOCK = threading.Lock()
+_WALK_LOCK = allocate_lock()
 _walk: list[int] = [1]
 
 

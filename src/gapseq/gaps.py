@@ -11,14 +11,12 @@ descents), and ``gap_sum_abs`` sums a_n + j over j = 1 .. |a_(n+1)-a_n-1|.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable, Iterator, Sequence
 from math import comb, isqrt, prod
-from typing import Callable, Iterator, Sequence, TypeVar
 
 from ._decimal import exact
 from ._record import record
 from .sequences import SeqSpec, _check_count, _index_error, _sieve, decimal_terms, terms
-
-T = TypeVar("T")
 
 
 @record
@@ -81,7 +79,7 @@ def gap_product_between(a: int, b: int) -> int:
     return product_range(a + 1, b)
 
 
-def gap_sequence(stat: Callable[[int, int], T], spec: SeqSpec, count: int) -> list[T]:
+def gap_sequence(stat: Callable[[int, int], object], spec: SeqSpec, count: int) -> list:
     """stat(a_n, a_(n+1)) for n = 0 .. count-1, from one pass over the terms."""
     values = terms(spec, 0, _check_count(count) + 1)
     return list(map(stat, values, values[1:]))

@@ -18,18 +18,17 @@ most ``ORDER``, and the builder feeds more terms than determine it.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Callable, Iterator, Sequence, TypeVar, Union
 
 from ._decimal import exact, int_to_str, to_decimal
 from ._record import record
 from .gaps import gap_sequence, gap_sum_signed_between
-from .sequences import Horadam, _check_count
+from .sequences import Horadam, N, _check_count
 
-Coeff = Union[int, Fraction]
-N = TypeVar("N")  # int, or an exact Decimal integer
+Coeff = int | Fraction
 
 
 @record

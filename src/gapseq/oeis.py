@@ -10,11 +10,9 @@ exactly, and the interpreter's int/str digit limit is left as it is.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import re
-from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from collections.abc import Iterator, Sequence
 
 from ._decimal import str_to_int
 from ._record import record
@@ -82,10 +80,10 @@ class CheckReport:
     matched: bool
     shift: int
     compared: int
-    first_mismatch: Optional[Mismatch] = None
+    first_mismatch: Mismatch | None = None
 
 
-def parse_bfile(text: Union[str, bytes], seq_id: str = "") -> BFile:
+def parse_bfile(text: str | bytes, seq_id: str = "") -> BFile:
     """Parse b-file text; ``#`` comments and blank lines are skipped.
 
     One leading byte-order mark is ignored. Raises BFileError for bytes
@@ -145,7 +143,7 @@ def parse_bfile(text: Union[str, bytes], seq_id: str = "") -> BFile:
     return BFile(seq_id, next_index - len(values), tuple(values))
 
 
-def _blocks(text: Union[str, bytes]) -> Iterator[Union[str, bytes]]:
+def _blocks(text: str | bytes) -> Iterator[str | bytes]:
     """A str, or ASCII bytes, one block at a time.
 
     Each block ends just after the first ``\n`` at or past ``_BLOCK``
@@ -163,7 +161,7 @@ def _blocks(text: Union[str, bytes]) -> Iterator[Union[str, bytes]]:
         pos = end
 
 
-def _canonical_rows(block: bytes, values: list[int], next_index: int) -> Optional[int]:
+def _canonical_rows(block: bytes, values: list[int], next_index: int) -> int | None:
     """Append the values of a canonical block and return the index after
     its last row; None, with values left as they were, for any other block.
 
@@ -210,7 +208,7 @@ def cross_check(values: Sequence[int], bfile: BFile, max_shift: int = 4) -> Chec
     expected = bfile.values
     if not expected:
         raise BFileError(f"b-file {bfile.seq_id or '<anonymous>'} has no entries")
-    best: Optional[tuple[int, int, int, Mismatch]] = None
+    best: tuple[int, int, int, Mismatch] | None = None
     # Only shifts in (-len(values), len(expected)) overlap, however large max_shift is.
     shifts = range(max(-max_shift, 1 - len(values)), min(max_shift, len(expected) - 1) + 1)
     for shift in sorted(shifts, key=lambda s: (abs(s), s < 0)):
@@ -232,15 +230,17 @@ def cross_check(values: Sequence[int], bfile: BFile, max_shift: int = 4) -> Chec
     )
 
 
-def default_cache_dir() -> Path:
-    """$GAPSEQ_CACHE_DIR if set, else ~/.cache/gapseq."""
+def default_cache_dir() -> os.PathLike[str]:
+    """$GAPSEQ_CACHE_DIR if set, else ~/.cache/gapseq, as a pathlib.Path."""
+    from pathlib import Path  # here, like tempfile and urllib: only a fetch needs it
+
     env = os.environ.get(CACHE_DIR_ENV)
     if env:
         return Path(env)
     return Path.home() / ".cache" / "gapseq"
 
 
-def fetch_bfile(seq_id: str, cache_dir: Union[str, Path, None] = None) -> BFile:
+def fetch_bfile(seq_id: str, cache_dir: str | os.PathLike[str] | None = None) -> BFile:
     """Cached b-file lookup; one HTTP GET on a cache miss.
 
     A download is parsed before it is cached, so a malformed one, or one
@@ -253,21 +253,24 @@ def fetch_bfile(seq_id: str, cache_dir: Union[str, Path, None] = None) -> BFile:
     """
     if not A_NUMBER.match(seq_id):
         raise BFileError(f"malformed A-number {seq_id!r} (expected 'A' + 6 digits)")
-    directory = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    directory = cache_dir if cache_dir is not None else default_cache_dir()
     digits = seq_id[1:]
-    path = directory / f"b{digits}.txt"
+    path = os.path.join(directory, f"b{digits}.txt")
     # No file is a cache miss; a concurrent fetcher may also have set a bad one aside.
-    with contextlib.suppress(FileNotFoundError):
+    try:
         try:
-            return _parse_nonempty(path.read_bytes(), seq_id)
+            with open(path, "rb") as fh:
+                return _parse_nonempty(fh.read(), seq_id)
         except BFileError:
-            os.replace(path, path.with_name(path.name + ".bad"))
+            os.replace(path, path + ".bad")
+    except FileNotFoundError:
+        pass
     raw = _http_get(_BFILE_URL.format(seq_id=seq_id, digits=digits))
     bfile = _parse_nonempty(raw, seq_id)
     # Imported here, like the network stack in _http_get: only a cache miss writes a file.
     import tempfile
 
-    directory.mkdir(parents=True, exist_ok=True)
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=f"b{digits}.", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:

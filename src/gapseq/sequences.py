@@ -12,17 +12,18 @@ Decimals, whose ``str`` is linear where an int's is quadratic.
 
 from __future__ import annotations
 
-import threading
+from _thread import allocate_lock
+from collections.abc import Callable
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, compress
 from math import comb, isqrt, log
 from operator import index
-from typing import Callable, TypeVar, Union
 
 from ._decimal import exact, int_to_str, to_decimal
 from ._record import record
 
-N = TypeVar("N")  # int, or an exact Decimal integer
+N = int | Decimal  # an int, or an exact Decimal integer
 
 
 class SpecError(ValueError):
@@ -159,7 +160,7 @@ class Explicit:
         object.__setattr__(self, "terms", tuple(values))
 
 
-SeqSpec = Union[Linear, Geometric, Polynomial, Binomial, Horadam, Primes, Fold, Explicit]
+SeqSpec = Linear | Geometric | Polynomial | Binomial | Horadam | Primes | Fold | Explicit
 
 FIBONACCI = Horadam(0, 1, 1, 1)
 JACOBSTHAL = Horadam(0, 1, 1, 2)
@@ -317,7 +318,7 @@ def _polynomial_run(coeffs: tuple[Fraction, ...], n0: int, count: int) -> list[i
     return level
 
 
-_PRIME_LOCK = threading.Lock()
+_PRIME_LOCK = allocate_lock()
 _primes: list[int] = [2, 3, 5, 7, 11, 13]
 
 

@@ -11,9 +11,9 @@ recomputed value is what the table shows.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Optional, Union
 
 from ._record import record
 from .combinatorics import as_integer, raney
@@ -47,7 +47,7 @@ class FigurateRow:
     label: str
     spec: SeqSpec
     sum_label: str
-    published_sum_formula: Optional[Callable[[int], int]] = None
+    published_sum_formula: Callable[[int], int] | None = None
 
 
 FIGURATE_ROWS: tuple[FigurateRow, ...] = (
@@ -88,7 +88,7 @@ PUBLISHED_FUSS_CATALAN: tuple[tuple[str, int, tuple[int, ...]], ...] = (
 
 # Gap products of a_n = k*n + 2, as published. The k=0 row prints the
 # factorial-ratio value 1/2; the bottom row is mislabeled "5n+1".
-PUBLISHED_PRODUCTS_PLUS_2: tuple[tuple[str, int, tuple[Union[int, str], ...]], ...] = (
+PUBLISHED_PRODUCTS_PLUS_2: tuple[tuple[str, int, tuple[int | str, ...]], ...] = (
     ("2", 0, ("1/2",) * 6),
     ("n+2", 1, (1, 1, 1, 1, 1, 1)),
     ("2n+2", 2, (3, 5, 7, 9, 11, 13)),
@@ -114,7 +114,7 @@ ARRAY_WIDTH = len(PUBLISHED_PRODUCTS_PLUS_1[0][2])
 # leading gap-sum terms. The (1,3,1,2) instance circulates without a
 # published gap-sum gf, hence the None.
 PUBLISHED_HORADAM_ROWS: tuple[
-    tuple[Horadam, str, Optional[RatFunc], tuple[int, ...]], ...
+    tuple[Horadam, str, RatFunc | None, tuple[int, ...]], ...
 ] = (
     (
         Horadam(1, 1, 1, 1),
@@ -199,7 +199,7 @@ def _array_table(
     published: tuple[tuple[str, int, tuple], ...],
     compute: Callable[[int], list[int]],
     notes: tuple[str, ...] = (),
-    row_notes: Optional[dict[int, str]] = None,
+    row_notes: dict[int, str] | None = None,
 ) -> RefTable:
     """A published array recomputed row by row, ``compute(k)`` giving row k.
 

@@ -9,7 +9,8 @@ versions. Each entry runs under the int/str digit limits 640 (the least
 one), 4300 (the default) and 0 (none); an argv holding a number longer
 than 640 digits cannot parse under 640 and skips it.
 
-    python tests/cli_corpus.py           check this checkout against the corpus
+    python tests/cli_corpus.py           check this checkout against the corpus,
+                                         with every warning an error
     python tests/cli_corpus.py --record  run ARGVS and write the corpus anew
 
 Run it from anywhere: it imports gapseq from this checkout's ``src`` and
@@ -28,6 +29,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -167,6 +169,12 @@ def _other_argvs() -> list[list[str]]:
         # Indices past any table: too large to compute, not a traceback.
         *(["terms", "--spec", spec, "--from", str(10**20), "--count", "1"]
           for spec in ("primes", "fold")),
+        # Exponents: one past the digit limit is refused before 10**exponent is built.
+        *(["terms", "--spec", "poly:" + c, "--count", "2"]
+          for c in ("1e999999999", "1e-999999999", "1e400", "0,0.5,0.5")),
+        *(["expand", f"--num={num}", f"--den={den}", "--count", "2"]
+          for num, den in (("1e999999999", "1"), ("1e-999999999", "1"), ("1", "1e999999999"),
+                           ("1", "1e-999999999"), ("1e400", "1"), ("0.5", "1,-0.5"))),
         # argparse: help and usage errors
         [],
         ["--help"],
@@ -308,7 +316,10 @@ def main(args: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     entries = load()
-    failures = check(entries)
+    # A warning, such as a DeprecationWarning on a newer Python, fails the check.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        failures = check(entries)
     for line in failures:
         print(line[:500], file=sys.stderr)
     runs = sum(len(_limits(e["argv"])) for e in entries)

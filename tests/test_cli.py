@@ -720,6 +720,47 @@ class TestDigitLimit:
         assert "gapseq: error: expected an integer" in err
         assert "gapseq: spec grammar:" in err
 
+    EXPONENT_ARGVS = [
+        *(["terms", "--spec", f"poly:{c}", "--count", "1"]
+          for c in ("1e999999999", "1e-999999999", "2,1E999999999")),
+        *(["expand", f"--num={num}", f"--den={den}", "--count", "1"]
+          for num, den in (("1e999999999", "1"), ("1e-999999999", "1"), ("1", "1,1e999999999"),
+                           ("1", "1e-999999999"))),
+    ]
+
+    def test_exponents_past_the_limit_are_refused_at_once(self):
+        """Fraction computes 10**exponent before any digit limit applies:
+        1e999999999 would seem to hang. The limit is lifted here, so the
+        bound is 4300 digits."""
+        codes = TestColdStart._python(
+            "import io, json, sys\n"
+            "from gapseq.cli import run\n"
+            "getattr(sys, 'set_int_max_str_digits', int)(0)\n"
+            "sys.stderr = io.StringIO()\n"
+            f"print(json.dumps([run(argv) for argv in {self.EXPONENT_ARGVS!r}]))\n"
+        )
+        assert codes == [2] * len(self.EXPONENT_ARGVS)
+
+    def test_exponent_error_keeps_the_position_and_the_grammar(self, capsys):
+        with int_digit_limit(4300):
+            assert run(["terms", "--spec", "poly:2, 1e-5000", "--count", "1"]) == 2
+        err = capsys.readouterr().err
+        assert ("gapseq: error: expected a rational, got '1e-5000' "
+                "(at position 7 in 'poly:2, 1e-5000')\n") in err
+        assert "gapseq: spec grammar:" in err
+
+    @pytest.mark.parametrize("limit", [0, 640, 4300])
+    def test_exponents_within_the_limit_parse(self, limit):
+        half = Fraction(1, 2)
+        with int_digit_limit(limit):
+            assert parse_spec("poly:1e400,0.5,5E-1") == Polynomial((10**400, half, half))
+            assert cli._coeff_list("0.5, 1e400,-25e-1") == (half, 10**400, Fraction(-5, 2))
+            # 4300 digits where the limit is lifted: 10**(digits - 1) is the longest power.
+            digits = limit or 4300 if HAS_DIGIT_LIMIT else 4300
+            assert cli._coeff_list(f"1e{digits - 1}") == (10 ** (digits - 1),)
+            with pytest.raises(argparse.ArgumentTypeError):
+                cli._coeff_list(f"1e{digits}")
+
 
 class TestInputTooLarge:
     """An input too large to compute fails with one error line and exit 1."""
@@ -1022,17 +1063,26 @@ class TestColdStart:
         for modules in loaded:
             assert not set(self.NETWORK) & set(modules)
 
-    def test_import_loads_no_dataclasses_or_inspect(self):
-        """Records are built without code generation, so importing the CLI
-        pulls in neither dataclasses nor what it imports (inspect, ast, dis)."""
-        loaded = self._python(
+    @classmethod
+    def _loaded_by_import(cls):
+        return set(cls._python(
             "import sys\n"
             "import gapseq, gapseq.cli\n"
             "loaded = sorted(sys.modules)\n"
             "import json\n"
             "print(json.dumps(loaded))\n"
-        )
-        assert not {"dataclasses", "inspect"} & set(loaded)
+        ))
+
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        """Records are built without code generation, so importing the CLI
+        pulls in neither dataclasses nor what it imports (inspect, ast, dis)."""
+        assert not {"dataclasses", "inspect"} & self._loaded_by_import()
+
+    def test_import_loads_only_what_a_run_uses(self):
+        """Annotations are never evaluated, the locks come from _thread and
+        pathlib loads only on the fetch path."""
+        loaded = self._loaded_by_import()
+        assert not {"typing", "pathlib", "threading", "contextlib", "urllib.parse"} & loaded
 
     def test_subcommands_import_nothing(self):
         bfile = str(FIXTURES / "b054265.txt")
