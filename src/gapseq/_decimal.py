@@ -91,6 +91,12 @@ def int_to_str(n: int) -> str:
     return str(to_decimal(n))
 
 
+def show(v: object) -> str:
+    """str(v), with an int through int_to_str: an error message that
+    quotes a caller's int then raises its own error at any length."""
+    return int_to_str(v) if isinstance(v, int) else str(v)
+
+
 def str_suits(values: list) -> bool:
     """Whether the builtin str may print values: it refuses every int past
     4300 digits, as under the default int/str digit limit or a lower one,

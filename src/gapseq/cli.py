@@ -75,15 +75,6 @@ from .sequences import (
 )
 
 
-class SpecParseError(ValueError):
-    """A sequence-spec string failed to parse; carries the failure position."""
-
-    def __init__(self, message: str, text: str, pos: int) -> None:
-        super().__init__(f"{message} (at position {pos} in {text!r})")
-        self.text = text
-        self.pos = pos
-
-
 _ALIASES: dict[str, SeqSpec] = {
     "fib": FIBONACCI,
     "jacobsthal": JACOBSTHAL,
@@ -100,96 +91,109 @@ _GRAMMAR = (
 
 
 def parse_spec(text: str) -> SeqSpec:
-    """Parse a sequence spec string; see _GRAMMAR for the accepted forms."""
+    """Parse a sequence spec string; see _GRAMMAR for the accepted forms.
+    A SpecError ends its message with the position of the fault in text."""
+    def fail(message: object, pos: int) -> SpecError:
+        return SpecError(f"{message} (at position {pos} in {text!r})")
+
     bare = text.strip()
     if bare in _ALIASES:
         return _ALIASES[bare]
     name, sep, rest = bare.partition(":")
     if not sep or name not in _FAMILIES:
-        raise SpecParseError(f"unknown sequence family {name!r}", text, 0)
+        raise fail(f"unknown sequence family {name!r}", 0)
     family, arities, convert = _FAMILIES[name]
     base = text.index(":") + 1
     if name == "poly" and not rest:
-        raise SpecParseError("poly needs at least one coefficient", text, base)
+        raise fail("poly needs at least one coefficient", base)
     values, pos = [], base
     for token in rest.split(","):  # pos: where token starts in text
         try:
             values.append(convert(token.strip()))
-        except (ValueError, ZeroDivisionError):
-            noun = "an integer" if convert is int else "a rational"
-            raise SpecParseError(f"expected {noun}, got {token.strip()!r}", text, pos) from None
+        except argparse.ArgumentTypeError as exc:
+            raise fail(exc, pos) from None
         pos += len(token) + 1
     if arities is not None and len(values) not in arities:
         wanted = " or ".join(str(w) for w in arities)
-        raise SpecParseError(f"{name} takes {wanted} arguments, got {len(values)}", text, base)
+        raise fail(f"{name} takes {wanted} arguments, got {len(values)}", base)
     try:
         return family(*values) if arities is not None else family(values)
     except SpecError as exc:
-        raise SpecParseError(str(exc), text, base) from exc
-
-
-def _rational(text: str) -> Fraction:
-    """Fraction(text), within the int/str digit limit (4300 digits where it
-    is lifted or absent) like every command-line number. An exponent that
-    would take the value past it is refused before Fraction computes
-    10**exponent, which for 1e999999999 would seem to hang."""
-    mantissa, e, exponent = text.lower().rpartition("e")
-    if e:
-        limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
-        if sum(map(str.isdigit, mantissa)) + abs(int(exponent)) > limit:
-            raise ValueError(f"{text!r} has more than {limit} digits")
-    return Fraction(text)
-
-
-# family -> (class, argument counts, or None for one list of any length, argument type)
-_FAMILIES: dict[str, tuple[Callable[..., SeqSpec], tuple[int, ...] | None, type]] = {
-    "linear": (Linear, (2,), int),
-    "geom": (Geometric, (1, 2), int),
-    "binom": (Binomial, (2,), int),
-    "horadam": (Horadam, (4, 5), int),
-    "poly": (Polynomial, None, _rational),
-    "explicit": (Explicit, None, int),
-}
+        raise fail(exc, base) from exc
 
 
 # ---------------------------------------------------------------------------
-# argparse types (failures surface as usage errors, exit code 2)
+# command-line numbers and argparse types: every number, spec tokens included,
+# goes through _integer or _rational; a fault is an ArgumentTypeError (exit 2)
 
 
-def _nonneg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+def _too_long(digits: int) -> bool:
+    """Past the int/str digit limit, or 4300 digits where it is lifted or absent."""
+    return digits > (getattr(sys, "get_int_max_str_digits", int)() or 4300)
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
+def _refusal(noun: str, text: str, digits: int) -> argparse.ArgumentTypeError:
+    """Why text is no number: too long, told by its digit count, which
+    reads the same under every limit and echoes no digit; else malformed."""
+    if _too_long(digits):
+        message = f"number too long: {digits} digits, past the int/str digit limit"
+        return argparse.ArgumentTypeError(message)
+    return argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
 
 
-def _int_list(count: int) -> Callable[[str], tuple[int, ...]]:
-    def parse(text: str) -> tuple[int, ...]:
-        parts = text.split(",")
-        if len(parts) != count:
-            raise argparse.ArgumentTypeError(
-                f"expected {count} comma-separated integers, got {text!r}"
-            )
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"non-integer in {text!r}") from None
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _refusal("an integer", text, sum(map(str.isdigit, text))) from None
+
+
+def _rational(text: str) -> Fraction:
+    """Fraction(text). An exponent counts as that many digits, so 1e999999999
+    is refused before Fraction computes 10**exponent, which would seem to hang."""
+    digits = sum(map(str.isdigit, text))
+    mantissa, e, exponent = text.lower().rpartition("e")
+    try:
+        if e:
+            digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent))
+            if _too_long(digits):
+                raise ValueError
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise _refusal("a rational", text, digits) from None
+
+
+# family -> (class, argument counts, or None for one list of any length, conversion)
+_FAMILIES: dict[str, tuple[Callable[..., SeqSpec], tuple[int, ...] | None, Callable]] = {
+    "linear": (Linear, (2,), _integer),
+    "geom": (Geometric, (1, 2), _integer),
+    "binom": (Binomial, (2,), _integer),
+    "horadam": (Horadam, (4, 5), _integer),
+    "poly": (Polynomial, None, _rational),
+    "explicit": (Explicit, None, _integer),
+}
+
+
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        if (value := _integer(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
 
     return parse
 
 
-def _coeff_list(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(_rational(p.strip()) for p in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"bad coefficient list {text!r}") from None
+def _numbers(convert: Callable[[str], Value], count: int | None = None) -> Callable:
+    """An argparse type: a comma list of count numbers (None: any number)."""
+    def parse(text: str) -> tuple:
+        parts = text.split(",")
+        if count is not None and len(parts) != count:
+            message = f"expected {count} comma-separated integers, got {text!r}"
+            raise argparse.ArgumentTypeError(message)
+        return tuple(convert(p.strip()) for p in parts)
+
+    return parse
 
 
 def _a_number(text: str) -> str:
@@ -252,27 +256,27 @@ def _json(obj: object) -> str:
     return json.dumps(obj)
 
 
-def _write_json(head: dict, key: str, values: Sequence[Value], tail: str = "") -> None:
+def _write_json(head: dict, key: str, values: Iterable[Value], tail: str = "") -> None:
     """_json(head + {key: values}) + tail and a newline, written in chunks."""
     sys.stdout.write(_json({**head, key: []})[:-2])
     _write_joined(values, ", ", lambda b, t: [_json_number(v, t) for v in b])
     sys.stdout.write("]" + tail + "}\n")
 
 
-def _emit_indexed(ns: argparse.Namespace, payload: dict, values: Sequence, n0: int = 0) -> None:
+def _emit_indexed(ns: argparse.Namespace, payload: dict, values: Iterable, n0: int = 0) -> None:
     if ns.format == "json":
         _write_json(payload, "values", values, f', "start": {n0}')
     elif ns.format == "csv":
         sys.stdout.write("n,value\n")
-        _write_joined(enumerate(values, n0), "\n", lambda b, t: [f"{n},{t(v)}" for n, v in b])
-        sys.stdout.write("\n" if values else "")
+        _write_joined(enumerate(values, n0), "", lambda b, t: [f"{n},{t(v)}\n" for n, v in b])
     else:
         _write_joined(values, " ")
         sys.stdout.write("\n")
 
 
-def _emit_scalar(ns: argparse.Namespace, payload: dict, value: Value) -> None:
-    print(_json({**payload, "value": value}) if ns.format == "json" else _text(value))
+def _emit(ns: argparse.Namespace, doc: object, text: str) -> None:
+    """Print a command's one document: _json(doc) under --format json, else text."""
+    print(_json(doc) if ns.format == "json" else text)
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +334,20 @@ def _cmd_gapprod(ns: argparse.Namespace) -> None:
 
 def _cmd_gf(ns: argparse.Namespace) -> None:
     f = horadam_gf(Horadam(*ns.horadam), ns.kind)
-    expansion = decimal_expansion(f, ns.expand) if ns.expand is not None else None
+    num, den = integer_coefficients(f)
+    doc = {"command": "gf", "horadam": list(ns.horadam), "kind": ns.kind,
+           "text": ratfunc_to_text(f), "num": num, "den": den}
+    if ns.expand is None:
+        if ns.format == "csv":
+            raise ValueError("csv output for gf needs --expand")
+        return _emit(ns, doc, doc["text"])
+    expansion = decimal_expansion(f, ns.expand)
     if ns.format == "json":
-        num, den = integer_coefficients(f)
-        payload = {"command": "gf", "horadam": list(ns.horadam), "kind": ns.kind,
-                   "text": ratfunc_to_text(f), "num": num, "den": den}
-        if expansion is None:
-            print(_json(payload))
-        else:
-            _write_json(payload, "expansion", expansion)
-    elif ns.format == "csv" and expansion is None:
-        raise ValueError("csv output for gf needs --expand")
+        _write_json(doc, "expansion", expansion)
     else:
         if ns.format == "text":
-            print(ratfunc_to_text(f))
-        if expansion is not None:
-            _emit_indexed(ns, {}, expansion)
+            print(doc["text"])
+        _emit_indexed(ns, {}, expansion)
 
 
 def _cmd_expand(ns: argparse.Namespace) -> None:
@@ -355,12 +357,13 @@ def _cmd_expand(ns: argparse.Namespace) -> None:
 
 
 def _cmd_fc(ns: argparse.Namespace) -> None:
-    _emit_scalar(ns, {"command": "fc", "p": ns.p, "m": ns.m}, fuss_catalan(ns.p, ns.m))
+    value = fuss_catalan(ns.p, ns.m)
+    _emit(ns, {"command": "fc", "p": ns.p, "m": ns.m, "value": value}, _text(value))
 
 
 def _cmd_raney(ns: argparse.Namespace) -> None:
     value = raney(ns.p, ns.r, ns.n)
-    _emit_scalar(ns, {"command": "raney", "p": ns.p, "r": ns.r, "n": ns.n}, value)
+    _emit(ns, {"command": "raney", "p": ns.p, "r": ns.r, "n": ns.n, "value": value}, _text(value))
 
 
 def _cmd_check_identity(ns: argparse.Namespace) -> int:
@@ -368,18 +371,15 @@ def _cmd_check_identity(ns: argparse.Namespace) -> int:
         k, n = ns.fc
         lhs, rhs = fc_identity_sides(k, n)
         detail = f"P_{n}(kn+1, k={k}) = {_text(lhs)} vs k! * fc({n},{k}) = {_text(rhs)}"
-        payload = {"command": "check-identity", "identity": "fc", "k": k, "n": n}
+        doc = {"command": "check-identity", "identity": "fc", "k": k, "n": n}
     else:
         k, r, n = ns.raney
         lhs, rhs = raney_identity_sides(k, r, n)
         detail = (f"P_{n}(kn+r, k={k}, r={r}) = {_text(lhs)} vs "
                   f"(k!/r) * raney({n + 1},{r},{k}) = {_text(rhs)}")
-        payload = {"command": "check-identity", "identity": "raney", "k": k, "r": r, "n": n}
+        doc = {"command": "check-identity", "identity": "raney", "k": k, "r": r, "n": n}
     ok = lhs == rhs
-    if ns.format == "json":
-        print(_json(dict(payload, holds=ok, detail=detail)))
-    else:
-        print(f"{detail}: {'holds' if ok else 'FAILS'}")
+    _emit(ns, dict(doc, holds=ok, detail=detail), f"{detail}: {'holds' if ok else 'FAILS'}")
     return 0 if ok else 1
 
 
@@ -393,10 +393,8 @@ _TABLE_BUILDERS: dict[str, Callable[[], list[tables.RefTable]]] = {
 
 def _cmd_table(ns: argparse.Namespace) -> None:
     built = _TABLE_BUILDERS[ns.name]()
-    if ns.format == "json":
-        print(_json([as_dict(t) for t in built]))
-    else:
-        print("\n".join(tables.render_table(t) for t in built), end="")
+    # Each rendered table ends in a newline; _emit adds the last one.
+    _emit(ns, [as_dict(t) for t in built], "\n".join(map(tables.render_table, built))[:-1])
 
 
 # check-oeis kinds: the statistic of each consecutive pair, or None for the terms.
@@ -420,18 +418,16 @@ def _cmd_check_oeis(ns: argparse.Namespace) -> int:
         count = min(count, len(spec.terms) - (func is not None))
     values = terms(spec, 0, count) if func is None else gap_sequence(func, spec, count)
     report = oeis.cross_check(values, bfile, ns.max_shift)
-    if ns.format == "json":
-        # seq_id repeats ns.id; first_mismatch is the only field that can be None.
-        fields = {k: v for k, v in as_dict(report).items()
-                  if k != "seq_id" and v is not None}
-        print(_json({"command": "check-oeis", "id": ns.id, "spec": ns.spec,
-                     "kind": ns.kind, **fields}))
-    elif report.matched:
-        print(f"{ns.id}: matched shift={report.shift} compared={report.compared}")
+    if report.matched:
+        text = f"{ns.id}: matched shift={report.shift} compared={report.compared}"
     else:
         mm = report.first_mismatch
-        print(f"{ns.id}: MISMATCH at index {mm.index}: b-file has {_text(mm.expected)}, "
-              f"computed {_text(mm.got)} (best shift {report.shift})")
+        text = (f"{ns.id}: MISMATCH at index {mm.index}: b-file has {_text(mm.expected)}, "
+                f"computed {_text(mm.got)} (best shift {report.shift})")
+    # seq_id repeats ns.id; first_mismatch is the only field that can be None.
+    fields = {k: v for k, v in as_dict(report).items() if k != "seq_id" and v is not None}
+    _emit(ns, {"command": "check-oeis", "id": ns.id, "spec": ns.spec, "kind": ns.kind, **fields},
+          text)
     return 0 if report.matched else 1
 
 
@@ -465,40 +461,40 @@ _FORMAT = _argument("--format", choices=("text", "json"), default="text")
 # csv is offered only where the output is a table of rows.
 _FORMAT_CSV = _argument("--format", choices=("text", "json", "csv"), default="text")
 _SPEC = _argument("--spec", required=True)
-_COUNT = _argument("--count", type=_nonneg, required=True)
+_COUNT = _argument("--count", type=_at_least(0), required=True)
 # argparse reads a value that starts with '-' as an option.
 _LIST_HELP = "a list that starts with '-' must be joined with '=', as in --%(dest)s=-1,..."
 
 # name -> (help, handler, then the functions adding its arguments in order)
 _COMMANDS: dict[str, tuple] = {
     "terms": ("sequence terms", _cmd_terms, _FORMAT_CSV, _SPEC, _COUNT,
-              _argument("--from", dest="start", type=_nonneg, default=0)),
+              _argument("--from", dest="start", type=_at_least(0), default=0)),
     "gaps": ("gap start/length/elements", _cmd_gaps, _FORMAT_CSV, _SPEC, _COUNT),
     "gapsum": ("gap-sum sequence", _cmd_gapsum, _FORMAT_CSV, _SPEC, _COUNT,
                *_kind_flags(list(_GAP_SUMS)[1:], "clamped")),
     "gapprod": ("gap-product sequence", _cmd_gapprod, _FORMAT_CSV, _SPEC, _COUNT),
     "gf": ("Horadam generating functions", _cmd_gf, _FORMAT_CSV,
-           _argument("--horadam", type=_int_list(4), required=True, metavar="A,B,R,S",
+           _argument("--horadam", type=_numbers(_integer, 4), required=True, metavar="A,B,R,S",
                      help=_LIST_HELP),
            *_kind_flags(GF_KINDS, "plain"),
-           _argument("--expand", type=_nonneg, default=None, metavar="N")),
+           _argument("--expand", type=_at_least(0), default=None, metavar="N")),
     "expand": ("expand num/den coefficient lists", _cmd_expand, _FORMAT_CSV,
-               _argument("--num", type=_coeff_list, required=True, metavar="C0,C1,...",
+               _argument("--num", type=_numbers(_rational), required=True, metavar="C0,C1,...",
                          help=_LIST_HELP),
-               _argument("--den", type=_coeff_list, required=True, metavar="C0,C1,...",
+               _argument("--den", type=_numbers(_rational), required=True, metavar="C0,C1,...",
                          help=_LIST_HELP),
                _COUNT),
     "fc": ("Fuss-Catalan number", _cmd_fc, _FORMAT,
-           _argument("--p", type=_nonneg, required=True),
-           _argument("--m", type=_nonneg, required=True)),
+           _argument("--p", type=_at_least(0), required=True),
+           _argument("--m", type=_at_least(0), required=True)),
     "raney": ("Raney number", _cmd_raney, _FORMAT,
-              _argument("--p", type=_nonneg, required=True),
-              _argument("--r", type=_positive, required=True),
-              _argument("--n", type=_nonneg, required=True)),
+              _argument("--p", type=_at_least(0), required=True),
+              _argument("--r", type=_at_least(1), required=True),
+              _argument("--n", type=_at_least(0), required=True)),
     "check-identity": ("verify product identities", _cmd_check_identity, _FORMAT,
-                       _one_of(_argument("--fc", type=_int_list(2), metavar="K,N",
+                       _one_of(_argument("--fc", type=_numbers(_integer, 2), metavar="K,N",
                                          help=_LIST_HELP),
-                               _argument("--raney", type=_int_list(3), metavar="K,R,N",
+                               _argument("--raney", type=_numbers(_integer, 3), metavar="K,R,N",
                                          help=_LIST_HELP),
                                required=True)),
     "table": ("reproduce a reference table", _cmd_table, _FORMAT,
@@ -508,8 +504,8 @@ _COMMANDS: dict[str, tuple] = {
                    _argument("--id", type=_a_number, required=True),
                    _one_of(_argument("--bfile", metavar="PATH"),
                            _argument("--fetch", action="store_true"), required=True),
-                   _argument("--max-shift", type=_nonneg, default=4),
-                   _argument("--count", type=_nonneg, default=None)),
+                   _argument("--max-shift", type=_at_least(0), default=4),
+                   _argument("--count", type=_at_least(0), default=None)),
 }
 
 
@@ -555,7 +551,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 1
     except (ValueError, IndexError) as exc:
         print(f"gapseq: error: {exc}", file=sys.stderr)
-        if isinstance(exc, (SpecParseError, SpecError)):
+        if isinstance(exc, SpecError):
             print(f"gapseq: spec grammar: {_GRAMMAR}", file=sys.stderr)
         return 2
 

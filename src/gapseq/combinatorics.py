@@ -6,6 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from ._decimal import show
 from .gaps import product_range
 from .sequences import _index_error
 
@@ -13,7 +14,7 @@ from .sequences import _index_error
 def binom(n: int, k: int) -> int:
     """C(n, k); 0 outside 0 <= k <= n, and a ValueError for n < 0."""
     if n < 0:
-        raise ValueError(f"upper index must be >= 0, got {n}")
+        raise ValueError(f"upper index must be >= 0, got {show(n)}")
     return comb(n, k) if k >= 0 else 0
 
 
@@ -34,7 +35,7 @@ def raney(p: int, r: int, n: int) -> Fraction:
     that need an integer convert with ``as_integer``.
     """
     if r < 1:
-        raise ValueError(f"raney weight r must be >= 1, got {r}")
+        raise ValueError(f"raney weight r must be >= 1, got {show(r)}")
     if p < 0 or n < 0:
         raise ValueError("raney p and n must be >= 0")
     return Fraction(r, p * n + r) * binom(p * n + r, n)
@@ -50,9 +51,9 @@ def as_integer(x: Fraction) -> int:
 def gap_product_closed(k: int, r: int, n: int) -> int:
     """Gap product of a_n = k*n + r: the k-1 integers above k*n + r multiplied out."""
     if k < 1:
-        raise ValueError(f"slope k must be >= 1, got {k}")
+        raise ValueError(f"slope k must be >= 1, got {show(k)}")
     if r < 1:
-        raise ValueError(f"intercept r must be >= 1, got {r}")
+        raise ValueError(f"intercept r must be >= 1, got {show(r)}")
     if n < 0:
         raise _index_error(n)
     base = k * n + r

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from math import comb, isqrt, prod
 
-from ._decimal import exact
+from ._decimal import exact, show
 from ._record import record
 from .sequences import SeqSpec, _check_count, _index_error, _sieve, decimal_terms, terms
 
@@ -286,7 +286,7 @@ def _toom3(x: list[int], y: list[int], k: int) -> int:
 def gap_sum_linear_closed(r: int, n: int) -> int:
     """Gap-sum of a_n = r*n in closed form: (2n+1) * C(r, 2)."""
     if r < 1:
-        raise ValueError(f"slope must be >= 1, got {r}")
+        raise ValueError(f"slope must be >= 1, got {show(r)}")
     if n < 0:
         raise _index_error(n)
     return (2 * n + 1) * comb(r, 2)
@@ -295,7 +295,7 @@ def gap_sum_linear_closed(r: int, n: int) -> int:
 def gap_sum_geometric_closed(k: int, n: int) -> int:
     """Gap-sum of a_n = k**n in closed form: ((k^2-1)k^(2n) - (k+1)k^n) / 2."""
     if k < 2:
-        raise ValueError(f"base must be >= 2, got {k}")
+        raise ValueError(f"base must be >= 2, got {show(k)}")
     if n < 0:
         raise _index_error(n)
     return ((k * k - 1) * k ** (2 * n) - (k + 1) * k**n) // 2

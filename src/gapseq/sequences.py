@@ -20,14 +20,14 @@ from itertools import accumulate, compress
 from math import comb, isqrt, log
 from operator import index
 
-from ._decimal import exact, int_to_str, to_decimal
+from ._decimal import exact, int_to_str, show, to_decimal
 from ._record import record
 
 N = int | Decimal  # an int, or an exact Decimal integer
 
 
 class SpecError(ValueError):
-    """A sequence specification violates its constraints."""
+    """A sequence spec violates its constraints, or its text does not parse."""
 
 
 def _index_fields(spec: object) -> None:
@@ -52,7 +52,7 @@ class Linear:
     def __post_init__(self) -> None:
         _index_fields(self)
         if self.k < 0:
-            raise SpecError(f"linear slope must be >= 0, got {self.k}")
+            raise SpecError(f"linear slope must be >= 0, got {int_to_str(self.k)}")
 
 
 @record
@@ -65,7 +65,7 @@ class Geometric:
     def __post_init__(self) -> None:
         _index_fields(self)
         if self.k < 2:
-            raise SpecError(f"geometric base must be >= 2, got {self.k}")
+            raise SpecError(f"geometric base must be >= 2, got {int_to_str(self.k)}")
 
 
 @record
@@ -103,9 +103,9 @@ class Binomial:
     def __post_init__(self) -> None:
         _index_fields(self)
         if self.shift < 0:
-            raise SpecError(f"binomial shift must be >= 0, got {self.shift}")
+            raise SpecError(f"binomial shift must be >= 0, got {int_to_str(self.shift)}")
         if self.lower < 1:
-            raise SpecError(f"binomial lower index must be >= 1, got {self.lower}")
+            raise SpecError(f"binomial lower index must be >= 1, got {int_to_str(self.lower)}")
 
 
 @record
@@ -128,7 +128,7 @@ class Horadam:
     def __post_init__(self) -> None:
         _index_fields(self)
         if self.shift < 0:
-            raise SpecError(f"horadam shift must be >= 0, got {self.shift}")
+            raise SpecError(f"horadam shift must be >= 0, got {int_to_str(self.shift)}")
 
 
 @record
@@ -252,13 +252,13 @@ def _horadam_run(a: N, b: N, r: N, s: N, count: int) -> list[N]:
 
 
 def _index_error(n: int) -> IndexError:
-    return IndexError(f"sequence index must be >= 0, got {n}")
+    return IndexError(f"sequence index must be >= 0, got {show(n)}")
 
 
 def _check_count(count: int) -> int:
     """count, or a ValueError if it is negative."""
     if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+        raise ValueError(f"count must be >= 0, got {show(count)}")
     return count
 
 
@@ -332,7 +332,7 @@ def nth_prime(n: int) -> int:
     covers float rounding.
     """
     if n < 0:
-        raise IndexError(f"prime index must be >= 0, got {n}")
+        raise IndexError(f"prime index must be >= 0, got {show(n)}")
     if n >= len(_primes):
         count = max(n + 1, 2 * len(_primes))
         _sieve(int(count * (log(count) + log(log(count)))) + 2)

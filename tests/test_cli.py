@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import gapseq
 import gapseq._decimal as _decimal
 import gapseq.cli as cli
 import gapseq.oeis as oeis
-from gapseq.cli import SpecParseError, parse_spec, run
+from gapseq.cli import parse_spec, run
 from gapseq.combinatorics import fuss_catalan, raney
 from gapseq.gaps import gap, gap_product, gap_sum, gap_sum_abs, gap_sum_signed
 from gapseq.genfun import GF_KINDS, horadam_gf, ratfunc, ratfunc_to_text
@@ -30,6 +31,7 @@ from gapseq.sequences import (
     Linear,
     Polynomial,
     Primes,
+    SpecError,
     terms,
 )
 
@@ -70,22 +72,22 @@ class TestParseSpec:
         assert parse_spec(text) == want
 
     def test_error_reports_position(self):
-        with pytest.raises(SpecParseError) as err:
+        with pytest.raises(SpecError) as err:
             parse_spec("linear:3;1")
-        assert err.value.pos == 7
+        assert str(err.value).endswith(" (at position 7 in 'linear:3;1')")
 
     def test_unknown_family(self):
-        with pytest.raises(SpecParseError):
+        with pytest.raises(SpecError):
             parse_spec("tribonacci:1,1,1")
-        with pytest.raises(SpecParseError):
+        with pytest.raises(SpecError):
             parse_spec("nonsense")
 
     def test_invalid_parameters(self):
-        with pytest.raises(SpecParseError):
+        with pytest.raises(SpecError):
             parse_spec("geom:1")
-        with pytest.raises(SpecParseError):
+        with pytest.raises(SpecError):
             parse_spec("poly:1/2")
-        with pytest.raises(SpecParseError):
+        with pytest.raises(SpecError):
             parse_spec("explicit:5")
 
     @pytest.mark.parametrize(
@@ -97,16 +99,16 @@ class TestParseSpec:
         ],
     )
     def test_non_integer_valued_poly_names_first_bad_value(self, text, message):
-        with pytest.raises(SpecParseError) as err:
+        with pytest.raises(SpecError) as err:
             parse_spec(text)
         assert str(err.value) == (
             f"polynomial is not integer-valued: {message} (at position 5 in {text!r})"
         )
 
     def test_wrong_arity(self):
-        with pytest.raises(SpecParseError):
+        with pytest.raises(SpecError):
             parse_spec("linear:3")
-        with pytest.raises(SpecParseError):
+        with pytest.raises(SpecError):
             parse_spec("horadam:1,2,3")
 
 
@@ -717,8 +719,35 @@ class TestDigitLimit:
         with int_digit_limit(4300):
             assert run(["terms", "--spec", spec, "--count", "1"]) == 2
         err = capsys.readouterr().err
-        assert "gapseq: error: expected an integer" in err
+        assert "gapseq: error: number too long: 5000 digits, past the int/str digit limit" in err
         assert "gapseq: spec grammar:" in err
+
+    TOO_LONG = "5" * 5000
+    TOO_LONG_MESSAGE = "number too long: 5000 digits, past the int/str digit limit"
+
+    @pytest.mark.parametrize("argv,err", [
+        (["terms", "--spec", "linear:1," + TOO_LONG, "--count", "1"],
+         f"gapseq: error: {TOO_LONG_MESSAGE} (at position 9 in 'linear:1,{TOO_LONG}')\n"
+         f"gapseq: spec grammar: {cli._GRAMMAR}\n"),
+        (["terms", "--spec", "poly:1e-5000", "--count", "1"],
+         "gapseq: error: number too long: 5001 digits, past the int/str digit limit "
+         f"(at position 5 in 'poly:1e-5000')\ngapseq: spec grammar: {cli._GRAMMAR}\n"),
+        (["terms", "--spec", "fib", "--count", TOO_LONG],
+         f"gapseq terms: error: argument --count: {TOO_LONG_MESSAGE}\n"),
+        (["check-identity", "--fc", "3," + TOO_LONG],
+         f"gapseq check-identity: error: argument --fc: {TOO_LONG_MESSAGE}\n"),
+        (["expand", "--num", TOO_LONG, "--den", "1", "--count", "1"],
+         f"gapseq expand: error: argument --num: {TOO_LONG_MESSAGE}\n"),
+    ], ids=["spec-integer", "spec-exponent", "count", "fc", "num"])
+    @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="Python 3.10 has no int/str digit limit")
+    def test_numbers_past_the_limit_name_the_fault(self, capsys, argv, err):
+        """One message for a number too long, wherever it stands; outside
+        a spec it does not echo the digits."""
+        with int_digit_limit(4300):
+            assert run(argv) == 2
+        got = capsys.readouterr().err
+        assert got.endswith(err)
+        assert got.count(self.TOO_LONG) == err.count(self.TOO_LONG)
 
     EXPONENT_ARGVS = [
         *(["terms", "--spec", f"poly:{c}", "--count", "1"]
@@ -745,21 +774,22 @@ class TestDigitLimit:
         with int_digit_limit(4300):
             assert run(["terms", "--spec", "poly:2, 1e-5000", "--count", "1"]) == 2
         err = capsys.readouterr().err
-        assert ("gapseq: error: expected a rational, got '1e-5000' "
+        assert ("gapseq: error: number too long: 5001 digits, past the int/str digit limit "
                 "(at position 7 in 'poly:2, 1e-5000')\n") in err
         assert "gapseq: spec grammar:" in err
 
     @pytest.mark.parametrize("limit", [0, 640, 4300])
     def test_exponents_within_the_limit_parse(self, limit):
         half = Fraction(1, 2)
+        coefficients = cli._numbers(cli._rational)  # the type of expand --num and --den
         with int_digit_limit(limit):
             assert parse_spec("poly:1e400,0.5,5E-1") == Polynomial((10**400, half, half))
-            assert cli._coeff_list("0.5, 1e400,-25e-1") == (half, 10**400, Fraction(-5, 2))
+            assert coefficients("0.5, 1e400,-25e-1") == (half, 10**400, Fraction(-5, 2))
             # 4300 digits where the limit is lifted: 10**(digits - 1) is the longest power.
             digits = limit or 4300 if HAS_DIGIT_LIMIT else 4300
-            assert cli._coeff_list(f"1e{digits - 1}") == (10 ** (digits - 1),)
-            with pytest.raises(argparse.ArgumentTypeError):
-                cli._coeff_list(f"1e{digits}")
+            assert coefficients(f"1e{digits - 1}") == (10 ** (digits - 1),)
+            with pytest.raises(argparse.ArgumentTypeError, match="^number too long: "):
+                coefficients(f"1e{digits}")
 
 
 class TestInputTooLarge:
@@ -852,13 +882,34 @@ class TestUsageErrors:
         (["raney", "--p", "1", "--r", "0", "--n", "1"],
          "gapseq raney: error: argument --r: must be >= 1, got 0"),
         (["check-identity", "--fc", "3,x"],
-         "gapseq check-identity: error: argument --fc: non-integer in '3,x'"),
+         "gapseq check-identity: error: argument --fc: expected an integer, got 'x'"),
         (["expand", "--num", "1,x", "--den", "1", "--count", "3"],
-         "gapseq expand: error: argument --num: bad coefficient list '1,x'"),
+         "gapseq expand: error: argument --num: expected a rational, got 'x'"),
+        (["terms", "--spec", "fib", "--count", "x"],
+         "gapseq terms: error: argument --count: expected an integer, got 'x'"),
     ])
     def test_argument_type_errors(self, capsys, argv, message):
         assert run(argv) == 2
         assert capsys.readouterr().err.splitlines()[-1] == message
+
+
+class TestEmitIndexed:
+    VALUES = [
+        [],
+        [7],
+        [*range(-5, 3000), 10**5000, Fraction(-1, 3), Decimal(10) ** 700],
+    ]
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("values", VALUES, ids=["empty", "one", "many"])
+    def test_generator_writes_the_same_bytes_as_a_list(self, capsys, fmt, values):
+        ns = argparse.Namespace(format=fmt)
+        cli._emit_indexed(ns, {"command": "terms"}, values, 3)
+        want = capsys.readouterr().out
+        cli._emit_indexed(ns, {"command": "terms"}, (v for v in values), 3)
+        assert capsys.readouterr().out == want
+        if fmt == "csv":
+            assert want.count("\n") == len(values) + 1
 
 
 class TestEntryPoint:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapseq import combinatorics, folding, gaps, oeis
+from gapseq._decimal import int_to_str
 from gapseq.sequences import (
     FIBONACCI,
     JACOBSTHAL,
@@ -21,6 +23,8 @@ from gapseq.sequences import (
     term,
     terms,
 )
+
+from conftest import int_digit_limit
 
 HALF = Fraction(1, 2)
 
@@ -229,3 +233,44 @@ class TestProperties:
         squares_doubled = Explicit((0, 2, 8, 18, 32, 50, 72, 98, 128, 162))
         spec = Polynomial((0, 0, 2))
         assert terms(spec, 0, 10) == list(squares_doubled.terms)
+
+
+# A value past the default int/str digit limit, which str() of it refuses.
+HUGE = 10**5000
+_BFILE = oeis.parse_bfile("0 1\n1 2\n", "A000001")
+
+
+class TestLongIntsInMessages:
+    """A validation error that quotes the caller's int raises its own type
+    and message at any length, not the digit limit's ValueError; within
+    the limit the message is str() of the int as before."""
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda v: Linear(v, 0), SpecError, "linear slope must be >= 0, got "),
+        (lambda v: Geometric(v), SpecError, "geometric base must be >= 2, got "),
+        (lambda v: Binomial(v, 2), SpecError, "binomial shift must be >= 0, got "),
+        (lambda v: Binomial(0, v), SpecError, "binomial lower index must be >= 1, got "),
+        (lambda v: Horadam(0, 1, 1, 1, v), SpecError, "horadam shift must be >= 0, got "),
+        (lambda v: term(FIBONACCI, v), IndexError, "sequence index must be >= 0, got "),
+        (lambda v: terms(FIBONACCI, v, 1), IndexError, "sequence index must be >= 0, got "),
+        (lambda v: gaps.gap_sum(Linear(1, 0), v), IndexError, "sequence index must be >= 0, got "),
+        (lambda v: nth_prime(v), IndexError, "prime index must be >= 0, got "),
+        (lambda v: folding.fold(v), IndexError, "fold index must be >= 0, got "),
+        (lambda v: folding.a088748(v), IndexError, "walk index must be >= 0, got "),
+        (lambda v: gaps.gap_sum_linear_closed(2, v), IndexError,
+         "sequence index must be >= 0, got "),
+        (lambda v: terms(FIBONACCI, 0, v), ValueError, "count must be >= 0, got "),
+        (lambda v: gaps.gap_sum_linear_closed(v, 1), ValueError, "slope must be >= 1, got "),
+        (lambda v: gaps.gap_sum_geometric_closed(v, 1), ValueError, "base must be >= 2, got "),
+        (lambda v: combinatorics.gap_product_closed(v, 1, 1), ValueError,
+         "slope k must be >= 1, got "),
+        (lambda v: combinatorics.raney(1, v, 1), ValueError, "raney weight r must be >= 1, got "),
+        (lambda v: combinatorics.binom(v, 1), ValueError, "upper index must be >= 0, got "),
+        (lambda v: oeis.cross_check([1], _BFILE, v), ValueError, "max_shift must be >= 0, got "),
+    ])
+    @pytest.mark.parametrize("value", [-1, -HUGE], ids=["short", "long"])
+    def test_message_quotes_the_int(self, call, error, message, value):
+        with int_digit_limit(4300), pytest.raises(error) as err:
+            call(value)
+        assert type(err.value) is error
+        assert str(err.value) == message + int_to_str(value)
