@@ -92,9 +92,11 @@ _GRAMMAR = (
 
 def parse_spec(text: str) -> SeqSpec:
     """Parse a sequence spec string; see _GRAMMAR for the accepted forms.
-    A SpecError ends its message with the position of the fault in text."""
+    A SpecError ends its message with the position of the fault in text,
+    and quotes at most the first 40 characters of text."""
     def fail(message: object, pos: int) -> SpecError:
-        return SpecError(f"{message} (at position {pos} in {text!r})")
+        shown = f"{text[:40]!r}... of {len(text)} characters" if len(text) > 40 else repr(text)
+        return SpecError(f"{message} (at position {pos} in {shown})")
 
     bare = text.strip()
     if bare in _ALIASES:
@@ -189,7 +191,7 @@ def _numbers(convert: Callable[[str], Value], count: int | None = None) -> Calla
     def parse(text: str) -> tuple:
         parts = text.split(",")
         if count is not None and len(parts) != count:
-            message = f"expected {count} comma-separated integers, got {text!r}"
+            message = f"expected {count} comma-separated integers, got {len(parts)}"
             raise argparse.ArgumentTypeError(message)
         return tuple(convert(p.strip()) for p in parts)
 

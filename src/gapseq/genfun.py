@@ -3,12 +3,13 @@ functions, plus one builder for those of Horadam sequences, their
 shifts, their squares, and their gap-sums.
 
 Polynomials store Fraction coefficients in ascending order with no
-trailing zeros. Rational functions normalize on construction (common
-polynomial factors cancelled, denominator constant term scaled to 1), so
-``==`` decides whether two of them denote the same power series.
+trailing zeros. Rational functions reduce on construction (no common
+polynomial factor, denominator constant term 1), so ``==`` decides
+whether two of them denote the same power series.
 
-The Horadam builder goes through ``ratfunc_from_terms``, which recovers
-the shortest linear recurrence of a run of terms by Berlekamp-Massey.
+One Berlekamp-Massey core, ``_register``, does both that reduction and
+``ratfunc_from_terms``, which recovers the shortest linear recurrence of
+a run of terms; the Horadam builder goes through the latter.
 That is exact, not a guess: C-finite sequences are closed under shifts,
 sums and termwise products (Kauers & Paule, *The Concrete Tetrahedron*,
 ch. 4), so each statistic of a Horadam pair has a recurrence of order at
@@ -20,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from ._decimal import exact, int_to_str, to_decimal
@@ -68,48 +69,21 @@ class Poly:
         return Poly(tuple(c * f for c in self.coeffs))
 
 
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of a by b over the rationals."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b.coeffs)
-    lead = b.coeffs[-1]
-    quotient = [Fraction(0)] * max(len(a.coeffs) - db + 1, 0)
-    rem = list(a.coeffs)
-    while len(rem) >= db:
-        f = rem[-1] / lead
-        if f != 0:
-            pos = len(rem) - db
-            quotient[pos] = f
-            for i in range(db):
-                rem[pos + i] -= f * b.coeffs[i]
-        rem.pop()
-    return Poly(tuple(quotient)), Poly(tuple(rem))
-
-
-def poly_exact_div(a: Poly, b: Poly) -> Poly:
-    q, rem = poly_divmod(a, b)
-    if rem:
-        raise ArithmeticError(f"{b} does not divide {a}")
-    return q
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm over the rationals."""
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if not a:
-        return a
-    return a.scale(1 / a.coeffs[-1])
-
-
 @record
 class RatFunc:
-    """Normalized quotient of two polynomials, expandable at the origin.
+    """Reduced quotient of two polynomials, expandable at the origin.
 
-    Construction requires den(0) != 0 and then cancels the polynomial gcd
-    and rescales so the denominator's constant term is exactly 1. Equal
-    power series therefore compare equal as values.
+    Construction requires den(0) != 0 and scales den(0) to 1. Let P/Q be
+    num/den in lowest terms and K = len(num). The power-series coefficients
+    from index K on have the generating function R/Q with deg R < deg Q,
+    also in lowest terms, so their shortest linear register (``_register``)
+    has connection polynomial Q, and 2 deg den of them determine it
+    (Massey's theorem). den becomes Q and num becomes (Q * series) mod
+    x^K, which is P: the gcd-reduced form with den(0) = 1, so equal power
+    series compare equal as values. The register skips the first K
+    coefficients, over which Berlekamp-Massey would pass through
+    registers with huge coefficients that the result does not use, and
+    runs on the integers ``expand`` scales the series to.
     """
 
     num: Poly
@@ -119,21 +93,18 @@ class RatFunc:
         num, den = self.num, self.den
         if not den:
             raise ValueError("rational function denominator is zero")
-        if den.coefficient(0) == 0:
+        if (c := den.coeffs[0]) == 0:
             raise ValueError("denominator constant term is 0; no power series at the origin")
-        if not num:
-            den = Poly((1,))
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = poly_exact_div(num, g)
-                den = poly_exact_div(den, g)
-            c = den.coefficient(0)
-            if c != 1:
-                num = num.scale(1 / c)
-                den = den.scale(1 / c)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        if c != 1:
+            object.__setattr__(self, "num", num.scale(1 / c))
+            object.__setattr__(self, "den", den.scale(1 / c))
+        head = len(num.coeffs)
+        count = head + 2 * den.degree
+        q, big_l, nums, weights = self._scaled_recurrence(count)
+        conn, reduced = _register(list(_scaled_run(nums, weights, q, count)), big_l, q, head)
+        for name, coeffs in (("num", reduced), ("den", conn)):
+            if (poly := Poly(tuple(coeffs))).coeffs != getattr(self, name).coeffs:
+                object.__setattr__(self, name, poly)
 
     def expand(self, count: int) -> list[Fraction]:
         """First ``count`` power-series coefficients at the origin.
@@ -211,40 +182,61 @@ def ratfunc(num: Sequence[Coeff], den: Sequence[Coeff] = (1,)) -> RatFunc:
 def ratfunc_from_terms(seq: Sequence[Coeff]) -> RatFunc:
     """Generating function of the shortest linear recurrence seq satisfies.
 
-    Berlekamp-Massey over the rationals (J. Massey, IEEE Trans. IT 1969)
-    finds the shortest register generating seq: its length L and its
-    connection polynomial C. L can exceed deg C when the first terms do
-    not follow the recurrence (3, 5, 10, 20, ... has L = 2, C = 1 - 2x).
-    The result is num / C with num = (C * series) mod x^L. Massey's
-    theorem makes the first 2L terms determine the register, so
-    2L >= len(seq) (what terms with no recurrence give) raises
-    ArithmeticError, as does an expansion that does not reproduce seq.
+    ``_register`` finds the shortest register generating seq. Massey's
+    theorem makes the first 2L terms determine it, so 2L >= len(seq)
+    (what terms with no recurrence give) raises ArithmeticError, as does
+    an expansion that does not reproduce seq.
     """
     values = [Fraction(v) for v in seq]
-    conn = [Fraction(1)]  # C
-    before = [Fraction(1)]  # C before the last length change, `step` terms ago
-    length, step, last_disc = 0, 1, Fraction(1)  # last_disc: the discrepancy then
-    for n, value in enumerate(values):
-        disc = value + sum(c * values[n - i] for i, c in enumerate(conn[1:], 1))
+    scale = lcm(*(v.denominator for v in values))
+    conn, num = _register([v.numerator * (scale // v.denominator) for v in values], scale)
+    if 2 * len(num) >= len(values):  # len(num) = L
+        raise ArithmeticError(f"{len(values)} terms determine no recurrence (L = {len(num)})")
+    f = RatFunc(Poly(tuple(num)), Poly(tuple(conn)))
+    if f.expand(len(values)) != values:
+        raise ArithmeticError("the recovered recurrence does not reproduce the terms")
+    return f
+
+
+def _register(
+    ints: list[int], scale: int, q: int = 1, head: int = 0
+) -> tuple[list[Fraction], list[Fraction]]:
+    """The shortest linear register generating c[head:], as den and num,
+    where ints[i] = q^i * scale * c_i (as ``expand`` scales them).
+
+    Berlekamp-Massey (J. Massey, IEEE Trans. IT 1969) finds its length L
+    and its connection polynomial C, C(0) = 1. L can exceed deg C when the
+    first terms do not follow the recurrence (3, 5, 10, 20, ... has L = 2,
+    C = 1 - 2x). Returns C and num = (C * c) mod x^max(L, head), as
+    max(L, head) coefficients. The loop runs on the ints, fraction-free:
+    their register is C(q x) times a constant, and the update
+    C <- last_disc * C - disc * x^step * before keeps every register a
+    scalar multiple of Massey's, divided by its content after each step.
+    """
+    tail = ints[head:]
+    conn, before = [1], [1]  # C, and C before the last length change, `step` terms ago
+    length, step, last_disc = 0, 1, 1  # last_disc: the discrepancy then
+    for n in range(len(tail)):
+        disc = sum(map(mul, conn, tail[n::-1]))
         if disc == 0:
             step += 1
             continue
-        factor = disc / last_disc
-        updated = conn + [Fraction(0)] * max(step + len(before) - len(conn), 0)
-        for i, c in enumerate(before):
-            updated[i + step] -= factor * c
+        updated = [last_disc * c for c in conn]
+        updated += [0] * (step + len(before) - len(updated))
+        for i, c in enumerate(before, step):
+            updated[i] -= disc * c
+        content = gcd(*updated)
+        updated = [c // content for c in updated]
         if 2 * length <= n:
             length, before, last_disc, step = n + 1 - length, conn, disc, 1
         else:
             step += 1
         conn = updated
-    if 2 * length >= len(values):
-        raise ArithmeticError(f"{len(values)} terms determine no recurrence (L = {length})")
-    num = [sum(c * values[k - i] for i, c in enumerate(conn[: k + 1])) for k in range(length)]
-    f = RatFunc(Poly(tuple(num)), Poly(tuple(conn)))
-    if f.expand(len(values)) != values:
-        raise ArithmeticError("the recovered recurrence does not reproduce the terms")
-    return f
+    lead, width = conn[0], len(conn)
+    den = [Fraction(c, lead * q**i) for i, c in enumerate(conn)]
+    num = [Fraction(sum(map(mul, conn, reversed(ints[max(k + 1 - width, 0):k + 1]))),
+                    lead * scale * q**k) for k in range(max(length, head))]
+    return den, num
 
 
 # (a^2, ab, b^2, a, b) of a Horadam pair (a, b) = (a_n, a_(n+1)) evolves by

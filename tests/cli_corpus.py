@@ -95,6 +95,12 @@ def _gf_argvs() -> list[list[str]]:
         argvs += [["expand", "--num", num, "--den", den, "--count", "10", "--format", fmt]
                   for fmt in FORMATS]
     argvs.append(["expand", "--num", "1", "--den", "1,-1", "--count", "0"])
+    # Reduction: a shared factor, a zero numerator, num = den, trailing zeros of
+    # den, and a negative den(0), with integer and rational coefficients.
+    for num, den in (("1,-1", "1,-3,2"), ("0", "5"), ("1,2", "1,2"), ("1,1", "1,0,0"),
+                     ("1,2", "-2,1,1"), ("1/2,-3/2,1", "-3/4,9/4,-3/2")):
+        argvs += [["expand", f"--num={num}", f"--den={den}", "--count", "10", "--format", fmt]
+                  for fmt in FORMATS]
     return argvs
 
 
@@ -163,6 +169,7 @@ def _other_argvs() -> list[list[str]]:
         ["gaps", "--spec", "geom:1" + "0" * 600, "--count", "9", "--format", "csv"],
         ["gaps", "--spec", "horadam:0,-1,1" + "0" * 600 + ",0", "--count", "9", "--format", "json"],
         ["terms", "--spec", "linear:1," + TOO_LONG, "--count", "3"],
+        ["terms", "--spec", "linear:" + "1," * 30 + "1", "--count", "3"],  # quoted in part
         ["gapsum", "--spec", "explicit:" + TOO_LONG + ",1,5", "--count", "2", "--format", "json"],
         ["terms", "--spec", "explicit:5,3,9", "--count", "4"],
         ["gapsum", "--spec", "explicit:5,3,9", "--count", "3"],

@@ -1,4 +1,5 @@
 import importlib.util
+import random
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -14,9 +15,6 @@ from gapseq.genfun import (
     GF_KINDS,
     horadam_gf,
     integer_coefficients,
-    poly_divmod,
-    poly_exact_div,
-    poly_gcd,
     ratfunc,
     ratfunc_from_terms,
     ratfunc_to_text,
@@ -61,26 +59,6 @@ class TestPoly:
         assert p * q == Poly((0, 1, 2))
         assert Poly() * p == Poly()
 
-    def test_divmod(self):
-        a = Poly((1, 0, -1))  # (1-x)(1+x)
-        b = Poly((1, -1))
-        q, r = poly_divmod(a, b)
-        assert q == Poly((1, 1))
-        assert not r
-        assert poly_exact_div(a, b) == q
-        with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
-            poly_divmod(a, Poly())
-        with pytest.raises(ArithmeticError, match="does not divide"):
-            poly_exact_div(a, Poly((1, -2)))
-
-    def test_gcd_monic(self):
-        a = Poly((1, -1)) * Poly((1, -2))
-        b = Poly((1, -1)) * Poly((1, -3))
-        g = poly_gcd(a, b)
-        assert g == Poly((-1, 1))  # the common factor 1 - x, made monic
-        assert g.coeffs[-1] == 1
-        assert poly_gcd(Poly(), Poly()) == Poly()
-
 
 class TestRatFuncNormalization:
     def test_gcd_cancelled(self):
@@ -96,6 +74,15 @@ class TestRatFuncNormalization:
         f = RatFunc(Poly(()), Poly((3, 1)))
         assert f.num == Poly(())
         assert f.den == Poly((1,))
+
+    def test_long_numerator_over_a_short_denominator(self):
+        """The register skips the numerator's span: a random degree-600
+        numerator over 1 - x reduces at once, where a register from index
+        0 would pass through huge intermediate coefficients (seconds)."""
+        rng = random.Random(600)
+        num = Poly(tuple(rng.randint(-9, 9) for _ in range(600)) + (1,))
+        f = RatFunc(num * Poly((1, -1)), Poly((1, -1)) * Poly((1, -1)))
+        assert (f.num, f.den) == (num, Poly((1, -1)))
 
     def test_rejects_zero_denominator(self):
         with pytest.raises(ValueError):
@@ -145,6 +132,31 @@ class TestExpand:
         spec = Horadam(a, b, 2, 2)
         expansion = horadam_gf(spec, "gapsum").expand(2300)
         assert expansion == gap_sequence(gap_sum_signed_between, spec, 2300)
+
+
+def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder of a by b over the rationals."""
+    quotient = [Fraction(0)] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
+    rem = list(a.coeffs)
+    while len(rem) >= len(b.coeffs):
+        f = rem[-1] / b.coeffs[-1]
+        pos = len(rem) - len(b.coeffs)
+        quotient[pos] = f
+        for i, c in enumerate(b.coeffs):
+            rem[pos + i] -= f * c
+        rem.pop()
+    return Poly(tuple(quotient)), Poly(tuple(rem))
+
+
+def euclid_reduced(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """The reference reduction: cancel the gcd, found by Euclid's algorithm
+    over the rationals, then scale den(0) to 1. A zero num has gcd den."""
+    a, b = num, den
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    num, den = (poly_divmod(p, a)[0] for p in (num, den))
+    c = den.coefficient(0)
+    return num.scale(1 / c), den.scale(1 / c)
 
 
 def fraction_series(num, den, count):
@@ -294,16 +306,28 @@ class TestGfProperties:
         assert expansion == [gap_sum_signed(spec, n) for n in range(30)]
 
     @given(
-        num=st.lists(small_ints, max_size=4),
-        den_tail=st.lists(small_ints, max_size=3),
-        den_head=st.integers(1, 4),
+        num=st.lists(rationals, max_size=4),
+        den_tail=st.lists(rationals, max_size=4),
+        den_head=rationals.filter(bool),
+        factor=st.lists(rationals, max_size=3),
+        factor_head=rationals.filter(bool),
     )
-    @settings(max_examples=120)
-    def test_normalization_invariants(self, num, den_tail, den_head):
-        f = ratfunc(tuple(num), (den_head, *den_tail))
+    @example(num=[1, -1], den_tail=[-3, 2], den_head=1, factor=[], factor_head=1)
+    @example(num=[], den_tail=[], den_head=5, factor=[], factor_head=1)
+    @example(num=[1, 2], den_tail=[2], den_head=1, factor=[], factor_head=1)
+    @example(num=[1, 2], den_tail=[1, 1], den_head=-2, factor=[1], factor_head=-1)
+    @example(num=[], den_tail=[0, 0], den_head=1, factor=[0, 0, 7], factor_head=3)
+    @settings(max_examples=300, deadline=None)
+    def test_normalization_invariants(self, num, den_tail, den_head, factor, factor_head):
+        """RatFunc reduces to the Euclidean gcd form, a planted common factor included."""
+        planted = Poly((factor_head, *factor))
+        pair = (Poly(tuple(num)) * planted, Poly((den_head, *den_tail)) * planted)
+        f = RatFunc(*pair)
+        assert (f.num, f.den) == euclid_reduced(*pair)
         assert f.den.coefficient(0) == 1
-        g = poly_gcd(f.num, f.den)
-        assert g.degree <= 0
+        assert f.expand(12) == fraction_series(num, (den_head, *den_tail), 12)
+        again = RatFunc(f.num, f.den)
+        assert again.num is f.num and again.den is f.den
 
     def test_from_terms_rejects_no_recurrence(self):
         with pytest.raises(ArithmeticError):
