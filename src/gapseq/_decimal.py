@@ -13,9 +13,10 @@ rounding raises instead of losing digits. Only integer operations are
 meant to run under it: +, -, *, an exact // and unary plus. A true
 division that does not terminate would try to compute MAX_PREC digits.
 
-``int_to_str`` and ``str_to_int`` are exact and subquadratic under any
-int/str digit limit (4300 digits by default), which they never change:
-past it they hand the builtins pieces under 640 digits, the least limit.
+``int_to_str``, ``str_to_int`` and ``show`` are exact and subquadratic
+under any int/str digit limit (4300 digits by default), which they never
+change: past it they hand the builtins pieces under 640 digits, the
+least limit.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import decimal
 import re
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from functools import cache
 
 _CONTEXT = decimal.Context(
@@ -92,9 +94,16 @@ def int_to_str(n: int) -> str:
 
 
 def show(v: object) -> str:
-    """str(v), with an int through int_to_str: an error message that
-    quotes a caller's int then raises its own error at any length."""
-    return int_to_str(v) if isinstance(v, int) else str(v)
+    """str(v), exact at any size under any int/str digit limit: an int
+    through int_to_str, and a Fraction as its numerator through it, then
+    "/" and its denominator unless it is whole. The one renderer of an
+    exact number, for output and for the error messages that quote one."""
+    if isinstance(v, int):
+        return int_to_str(v)
+    if type(v) is Fraction:  # type(), not isinstance: the ABC check is slow
+        whole = int_to_str(v.numerator)
+        return whole if v.denominator == 1 else f"{whole}/{int_to_str(v.denominator)}"
+    return str(v)
 
 
 def str_suits(values: list) -> bool:

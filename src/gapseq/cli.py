@@ -14,9 +14,9 @@ parser of the subcommand it names; help and unknown commands build all.
 exact Decimal runs (``decimal_terms``, ``decimal_gap_sequence``,
 ``decimal_expansion``): their values grow exponentially, and ``str`` of
 a Decimal is linear where an int's is quadratic. Indexed output goes out
-in writes of about 64 KiB, so no output is held whole. Through ``_text``
-and ``_json``, output is exact under any int/str digit limit, which
-gapseq never changes; command-line numbers stay within it.
+in writes of about 64 KiB, so no output is held whole. Through
+``_decimal.show`` and ``_json``, output is exact under any int/str digit
+limit, which gapseq never changes; command-line numbers stay within it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import oeis, tables
-from ._decimal import int_to_str, str_suits
+from ._decimal import show, str_suits
 from ._record import as_dict
 from .combinatorics import fc_identity_sides, fuss_catalan, raney, raney_identity_sides
 from .gaps import (
@@ -219,28 +219,21 @@ def _write_joined(rows: Iterable, sep: str, render: Callable = lambda b, t: map(
     """Write sep.join(render(batch, t)) to stdout for batches of rows,
     each as many rows as the last batch's text says fit in _WRITE_CHARS,
     at most twice as many. render writes a value v as t(v), with t str
-    where str_suits the batch, and _text where it does not or where str
+    where str_suits the batch, and show where it does not or where str
     refuses an int past the digit limit."""
     write = sys.stdout.write
     rows = iter(rows)
     batch, lead = 64, ""
     while chunk := list(islice(rows, batch)):
         try:
-            text = sep.join(render(chunk, str if str_suits(chunk) else _text))
+            text = sep.join(render(chunk, str if str_suits(chunk) else show))
         except ValueError:
-            text = sep.join(render(chunk, _text))
+            text = sep.join(render(chunk, show))
         write(lead + text)
         batch, lead = max(1, min(2 * batch, batch * _WRITE_CHARS // len(text))), sep
 
 
-def _text(v: Value) -> str:
-    """str(v), exact at any size under any int/str digit limit."""
-    if type(v) is Fraction and v.denominator != 1:
-        return f"{int_to_str(v.numerator)}/{int_to_str(v.denominator)}"
-    return str(v) if type(v) is Decimal else int_to_str(int(v))
-
-
-def _json_number(v: Value, text: Callable[[Value], str] = _text) -> str:
+def _json_number(v: Value, text: Callable[[Value], str] = show) -> str:
     """v as json.dumps writes it, but a Fraction that is not whole is a
     string like "1/3". type(), not isinstance: the ABC check is slow."""
     return f'"{text(v)}"' if type(v) is Fraction and v.denominator != 1 else text(v)
@@ -299,8 +292,8 @@ def _cmd_gaps(ns: argparse.Namespace) -> None:
         # The bytes of _json of the whole document, written row by row.
         write(_json({"command": "gaps", "spec": ns.spec})[:-1] + ', "gaps": [')
         for n, (start, length) in spans:
-            write(f'{", " if n else ""}{{"n": {n}, "start": {_text(start)}, '
-                  f'"length": {_text(length)}, "elements": [')
+            write(f'{", " if n else ""}{{"n": {n}, "start": {show(start)}, '
+                  f'"length": {show(length)}, "elements": [')
             _write_joined(range(start, start + length), ", ")
             write("]}")
         write("]}\n")
@@ -309,7 +302,7 @@ def _cmd_gaps(ns: argparse.Namespace) -> None:
         _write_joined(spans, "", lambda b, t: [f"{n},{t(s)},{t(k)}\n" for n, (s, k) in b])
     else:
         for n, (start, length) in spans:
-            write(f"{n} {_text(start)} {_text(length)} " + ("" if length else "-"))
+            write(f"{n} {show(start)} {show(length)} " + ("" if length else "-"))
             _write_joined(range(start, start + length), ",")
             write("\n")
 
@@ -360,25 +353,25 @@ def _cmd_expand(ns: argparse.Namespace) -> None:
 
 def _cmd_fc(ns: argparse.Namespace) -> None:
     value = fuss_catalan(ns.p, ns.m)
-    _emit(ns, {"command": "fc", "p": ns.p, "m": ns.m, "value": value}, _text(value))
+    _emit(ns, {"command": "fc", "p": ns.p, "m": ns.m, "value": value}, show(value))
 
 
 def _cmd_raney(ns: argparse.Namespace) -> None:
     value = raney(ns.p, ns.r, ns.n)
-    _emit(ns, {"command": "raney", "p": ns.p, "r": ns.r, "n": ns.n, "value": value}, _text(value))
+    _emit(ns, {"command": "raney", "p": ns.p, "r": ns.r, "n": ns.n, "value": value}, show(value))
 
 
 def _cmd_check_identity(ns: argparse.Namespace) -> int:
     if ns.fc is not None:
         k, n = ns.fc
         lhs, rhs = fc_identity_sides(k, n)
-        detail = f"P_{n}(kn+1, k={k}) = {_text(lhs)} vs k! * fc({n},{k}) = {_text(rhs)}"
+        detail = f"P_{n}(kn+1, k={k}) = {show(lhs)} vs k! * fc({n},{k}) = {show(rhs)}"
         doc = {"command": "check-identity", "identity": "fc", "k": k, "n": n}
     else:
         k, r, n = ns.raney
         lhs, rhs = raney_identity_sides(k, r, n)
-        detail = (f"P_{n}(kn+r, k={k}, r={r}) = {_text(lhs)} vs "
-                  f"(k!/r) * raney({n + 1},{r},{k}) = {_text(rhs)}")
+        detail = (f"P_{n}(kn+r, k={k}, r={r}) = {show(lhs)} vs "
+                  f"(k!/r) * raney({n + 1},{r},{k}) = {show(rhs)}")
         doc = {"command": "check-identity", "identity": "raney", "k": k, "r": r, "n": n}
     ok = lhs == rhs
     _emit(ns, dict(doc, holds=ok, detail=detail), f"{detail}: {'holds' if ok else 'FAILS'}")
@@ -424,8 +417,8 @@ def _cmd_check_oeis(ns: argparse.Namespace) -> int:
         text = f"{ns.id}: matched shift={report.shift} compared={report.compared}"
     else:
         mm = report.first_mismatch
-        text = (f"{ns.id}: MISMATCH at index {mm.index}: b-file has {_text(mm.expected)}, "
-                f"computed {_text(mm.got)} (best shift {report.shift})")
+        text = (f"{ns.id}: MISMATCH at index {mm.index}: b-file has {show(mm.expected)}, "
+                f"computed {show(mm.got)} (best shift {report.shift})")
     # seq_id repeats ns.id; first_mismatch is the only field that can be None.
     fields = {k: v for k, v in as_dict(report).items() if k != "seq_id" and v is not None}
     _emit(ns, {"command": "check-oeis", "id": ns.id, "spec": ns.spec, "kind": ns.kind, **fields},

@@ -44,7 +44,7 @@ def raney(p: int, r: int, n: int) -> Fraction:
 def as_integer(x: Fraction) -> int:
     """The integer a rational denotes; raises if it is not whole."""
     if x.denominator != 1:
-        raise ValueError(f"{x} is not an integer")
+        raise ValueError(f"{show(x)} is not an integer")
     return x.numerator
 
 

@@ -73,36 +73,33 @@ class Poly:
 class RatFunc:
     """Reduced quotient of two polynomials, expandable at the origin.
 
-    Construction requires den(0) != 0 and scales den(0) to 1. Let P/Q be
-    num/den in lowest terms and K = len(num). The power-series coefficients
-    from index K on have the generating function R/Q with deg R < deg Q,
-    also in lowest terms, so their shortest linear register (``_register``)
-    has connection polynomial Q, and 2 deg den of them determine it
-    (Massey's theorem). den becomes Q and num becomes (Q * series) mod
-    x^K, which is P: the gcd-reduced form with den(0) = 1, so equal power
-    series compare equal as values. The register skips the first K
-    coefficients, over which Berlekamp-Massey would pass through
-    registers with huge coefficients that the result does not use, and
-    runs on the integers ``expand`` scales the series to.
+    Construction requires den(0) != 0 and scales den(0) to 1, and
+    reduces num/den through its shorter side (``_lowest_terms``). With
+    num = x^v num1 and num1(0) != 0, x does not divide den (den(0) != 0),
+    so gcd(num, den) = gcd(num1, den). When deg num1 < deg den, the
+    reduced den/num1 is turned over: its series has a register of length
+    at most deg num1, not deg den, so a short numerator over a long
+    denominator costs a few terms. Either way the result is the
+    gcd-reduced form with den(0) = 1, so equal power series compare
+    equal as values.
     """
 
     num: Poly
     den: Poly = Poly((1,))
 
     def __post_init__(self) -> None:
-        num, den = self.num, self.den
+        num, den = self.num.coeffs, self.den.coeffs
         if not den:
             raise ValueError("rational function denominator is zero")
-        if (c := den.coeffs[0]) == 0:
+        if den[0] == 0:
             raise ValueError("denominator constant term is 0; no power series at the origin")
-        if c != 1:
-            object.__setattr__(self, "num", num.scale(1 / c))
-            object.__setattr__(self, "den", den.scale(1 / c))
-        head = len(num.coeffs)
-        count = head + 2 * den.degree
-        q, big_l, nums, weights = self._scaled_recurrence(count)
-        conn, reduced = _register(list(_scaled_run(nums, weights, q, count)), big_l, q, head)
-        for name, coeffs in (("num", reduced), ("den", conn)):
+        v = next((i for i, c in enumerate(num) if c), 0)
+        if 0 < len(num) - v < len(den):
+            top, bottom = _lowest_terms(den, num[v:])
+            num, den = [0] * v + [c / top[0] for c in bottom], [c / top[0] for c in top]
+        else:
+            num, den = _lowest_terms(num, den)
+        for name, coeffs in (("num", num), ("den", den)):
             if (poly := Poly(tuple(coeffs))).coeffs != getattr(self, name).coeffs:
                 object.__setattr__(self, name, poly)
 
@@ -118,7 +115,7 @@ class RatFunc:
         c_i = u_i / (q^i * L). Horadam generating functions and integer
         denominators have q = 1, so the scaled values do not grow.
         """
-        q, big_l, nums, weights = self._scaled_recurrence(count)
+        q, big_l, nums, weights = _scaled_recurrence(self.num.coeffs, self.den.coeffs, count)
         out: list[Fraction] = []
         scale = big_l  # q^i * L
         for u in _scaled_run(nums, weights, q, count):
@@ -127,17 +124,44 @@ class RatFunc:
             scale *= q
         return out
 
-    def _scaled_recurrence(self, count: int) -> tuple[int, int, list[int], list[int]]:
-        """q, L, the integers L * num_i and the weights e_j * q^(j-1) of ``expand``."""
-        _check_count(count)
-        num, den = self.num.coeffs, self.den.coeffs
-        q = lcm(*(c.denominator for c in den))
-        big_l = lcm(*(c.denominator for c in num))
-        nums = [c.numerator * (big_l // c.denominator) for c in num]
-        weights = [
-            c.numerator * (q // c.denominator) * q ** (j - 1) for j, c in enumerate(den[1:], 1)
-        ]
-        return q, big_l, nums, weights
+
+def _scaled_recurrence(
+    num: Sequence[Coeff], den: Sequence[Coeff], count: int
+) -> tuple[int, int, list[int], list[int]]:
+    """q, L, the integers L * num_i and the weights e_j * q^(j-1) of
+    ``RatFunc.expand`` for num/den with den(0) = 1."""
+    _check_count(count)
+    q = lcm(*(c.denominator for c in den))
+    big_l = lcm(*(c.denominator for c in num))
+    nums = [c.numerator * (big_l // c.denominator) for c in num]
+    weights = [
+        c.numerator * (q // c.denominator) * q ** (j - 1) for j, c in enumerate(den[1:], 1)
+    ]
+    return q, big_l, nums, weights
+
+
+def _lowest_terms(
+    num: Sequence[Fraction], den: Sequence[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """num/den in lowest terms with den(0) = 1, for den(0) != 0.
+
+    Let P/Q be num/den so reduced and K = len(num). The power-series
+    coefficients from index K on have the generating function R/Q with
+    deg R < deg Q, also in lowest terms, so their shortest linear
+    register (``_register``) has connection polynomial Q, and 2 deg den
+    of them determine it (Massey's theorem). den becomes Q and num
+    becomes (Q * series) mod x^K, which is P. The register skips the
+    first K coefficients, over which Berlekamp-Massey would pass through
+    registers with huge coefficients that the result does not use, and
+    runs on the integers ``RatFunc.expand`` scales the series to.
+    """
+    if (c := den[0]) != 1:
+        num, den = [a / c for a in num], [a / c for a in den]
+    head = len(num)
+    count = head + 2 * (len(den) - 1)
+    q, big_l, nums, weights = _scaled_recurrence(num, den, count)
+    conn, reduced = _register(list(_scaled_run(nums, weights, q, count)), big_l, q, head)
+    return reduced, conn
 
 
 def _scaled_run(nums: Sequence[N], weights: Sequence[N], q: int, count: int) -> Iterator[N]:
@@ -165,7 +189,7 @@ def decimal_expansion(f: RatFunc, count: int) -> list:
     where an int's is quadratic. At any other scale this is
     ``f.expand(count)``, with its Fractions.
     """
-    q, big_l, nums, weights = f._scaled_recurrence(count)
+    q, big_l, nums, weights = _scaled_recurrence(f.num.coeffs, f.den.coeffs, count)
     if q != 1 or big_l != 1:
         return f.expand(count)
     with exact():

@@ -91,38 +91,27 @@ def parse_bfile(text: str | bytes, seq_id: str = "") -> BFile:
     lines and for index sequences that jump or repeat. Values of any
     length parse exactly, past the int/str digit limit as ``[+-]?[0-9]+``.
 
-    The text is parsed one block of about ``_BLOCK`` characters at a
-    time, so beyond the input the peak memory is the values plus one
-    block. Bytes that are not ASCII are decoded whole first, so a UTF-8
-    error is reported before any malformed line.
+    The text is parsed as UTF-8 bytes, one block of about ``_BLOCK``
+    bytes or characters at a time (``_blocks``), so beyond the input the
+    peak memory is the values plus one block, whatever the input.
 
-    A block of ASCII bytes holding only canonical rows, after any ``#``
-    comment lines of printable ASCII, is split and converted in bulk
-    (``_canonical_rows``). Str text and every other block (one with a
-    blank or indented line, a later comment, a tab, ``\r\n``, a ``+``,
-    a jump in the indices, a value past the digit limit or no final
-    ``\n``) go through the line loop, which gives the same values and
-    names the line of any error.
+    A block holding only canonical rows, after any ``#`` comment lines
+    of printable ASCII, is split and converted in bulk
+    (``_canonical_rows``). Every other block (one with a blank or
+    indented line, a later comment, a byte past ASCII, a tab, ``\r\n``,
+    a ``+``, a jump in the indices, a value past the digit limit or no
+    final ``\n``) is decoded for the line loop, which gives the same
+    values and names the line of any error.
     """
-    if isinstance(text, bytes) and not text.isascii():
-        # Plain utf-8, not utf-8-sig, so the error offset indexes the raw bytes.
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            lineno = text.count(b"\n", 0, exc.start) + 1
-            raise BFileError(f"line {lineno}: byte {text[exc.start]:#04x} is not UTF-8") from None
-    if isinstance(text, str):
-        text = text.removeprefix("\ufeff")
     values: list[int] = []
     next_index = lineno = 0
     for block in _blocks(text):
-        if isinstance(block, bytes):
-            after = _canonical_rows(block, values, next_index)
-            if after is not None:
-                next_index = after
-                lineno += block.count(b"\n")
-                continue
-            block = block.decode("ascii")
+        after = _canonical_rows(block, values, next_index)
+        if after is not None:
+            next_index = after
+            lineno += block.count(b"\n")
+            continue
+        block = block.decode("utf-8", "surrogatepass")
         for lineno, raw in enumerate(block.splitlines(), start=lineno + 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -143,22 +132,41 @@ def parse_bfile(text: str | bytes, seq_id: str = "") -> BFile:
     return BFile(seq_id, next_index - len(values), tuple(values))
 
 
-def _blocks(text: str | bytes) -> Iterator[str | bytes]:
-    """A str, or ASCII bytes, one block at a time.
+def _blocks(text: str | bytes) -> Iterator[bytes]:
+    """The text after one leading byte-order mark, as UTF-8 bytes, one
+    block at a time; a str is encoded block by block (``surrogatepass``,
+    so a lone surrogate goes through as it came).
 
     Each block ends just after the first ``\n`` at or past ``_BLOCK``
     characters into it, or at the end of the text. That cut never moves
     a line break: ``\n`` and ``\r\n`` both end inside the block, and no
-    break starts with ``\n``.
+    break starts with ``\n``. Nor does it split a character, since no
+    UTF-8 sequence holds the byte ``\n``. So bytes past ASCII are
+    checked first, a block at a time, and one that is not UTF-8 raises
+    BFileError before any line is parsed.
     """
     is_str = isinstance(text, str)
-    newline = "\n" if is_str else b"\n"
-    pos, size = 0, len(text)
-    while pos < size:
-        cut = text.find(newline, pos + _BLOCK - 1)
-        end = size if cut < 0 else cut + 1
-        yield text[pos:end]
-        pos = end
+    newline, mark = ("\n", "\ufeff") if is_str else (b"\n", b"\xef\xbb\xbf")
+    start, size = len(mark) if text.startswith(mark) else 0, len(text)
+
+    def cuts() -> Iterator[tuple[int, int]]:
+        pos = start
+        while pos < size:
+            cut = text.find(newline, pos + _BLOCK - 1)
+            end = size if cut < 0 else cut + 1
+            yield pos, end
+            pos = end
+
+    if not is_str and not text.isascii():
+        for pos, end in cuts():
+            try:
+                text[pos:end].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = pos + exc.start
+                lineno = text.count(b"\n", 0, bad) + 1
+                raise BFileError(f"line {lineno}: byte {text[bad]:#04x} is not UTF-8") from None
+    for pos, end in cuts():
+        yield text[pos:end].encode("utf-8", "surrogatepass") if is_str else text[pos:end]
 
 
 def _canonical_rows(block: bytes, values: list[int], next_index: int) -> int | None:

@@ -149,6 +149,15 @@ def _check_oeis_argvs() -> list[list[str]]:
         bfile = f"{FIXTURES}/b{seq_id[1:]}.txt"
         argvs += [["check-oeis", "--spec", spec, "--kind", kind, "--id", seq_id,
                    "--bfile", bfile, *extra, "--format", fmt] for fmt in ("text", "json")]
+    # A000217 after a UTF-8 comment line, after a byte-order mark and with
+    # CRLF line ends; and a Latin-1 byte after a malformed line, which the
+    # UTF-8 error names first.
+    for variant, spec in (("utf8_comment", "poly:0,1/2,1/2"), ("bom", "poly:0,1/2,1/2"),
+                          ("crlf", "poly:0,1/2,1/2"), ("crlf", "pell"),
+                          ("bad_utf8", "poly:0,1/2,1/2")):
+        argvs += [["check-oeis", "--spec", spec, "--kind", "terms", "--id", "A000217",
+                   "--bfile", f"{FIXTURES}/b000217_{variant}.txt", "--format", fmt]
+                  for fmt in ("text", "json")]
     argvs += [
         ["check-oeis", "--spec", "fib", "--kind", "terms", "--id", "A000045",
          "--bfile", f"{FIXTURES}/b000045.txt"],

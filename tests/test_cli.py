@@ -915,6 +915,17 @@ class TestEmitIndexed:
         if fmt == "csv":
             assert want.count("\n") == len(values) + 1
 
+    def test_short_ints_are_written_by_str(self, capsys, monkeypatch):
+        # The route, not only the bytes: under the default digit limit the
+        # exact renderer never sees a run of short ints.
+        def refuse(v):
+            raise AssertionError(f"show({v!r}) was called")
+
+        monkeypatch.setattr(cli, "show", refuse)
+        with int_digit_limit(4300):
+            cli._write_joined(range(-5000, 5000), " ")
+        assert capsys.readouterr().out == " ".join(map(str, range(-5000, 5000)))
+
 
 class TestEntryPoint:
     """``python -m gapseq.cli`` goes through main(), which exits with run()'s code."""

@@ -8,7 +8,9 @@ gap-sum kind and the format; ``cli.run`` runs in process and its stdout
 goes through the oracles' own output checks. ``expand`` gets num/den
 with rational coefficients, a possibly negative den(0) and a planted
 common factor, and ``gf`` every kind, each Horadam statistic computed
-from ``oracles.horadam_terms``.
+from ``oracles.horadam_terms``. ``check-oeis`` gets b-files written from
+the oracles' values, shifted, with a planted wrong entry, a UTF-8
+comment, a byte-order mark or CRLF line ends, and ``table`` each name.
 """
 
 import contextlib
@@ -18,7 +20,8 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gapseq.cli import run
@@ -187,3 +190,87 @@ def test_gf(a, b, r, s, kind, n, fmt):
             "(0) / (1)", [], [1], want), (argv, out)
     else:
         assert reason is None, (argv, out)
+
+
+def oeis_verdict(values: list[int], entries: list[int], start: int, max_shift: int) -> dict:
+    """check-oeis's verdict by brute force, in the keys check_check_oeis
+    reads: the smallest |shift| (a non-negative one first) at which the
+    values agree with the entries over their whole overlap; else the
+    first disagreement of the shift, first in that order, whose overlap
+    agrees longest before it."""
+    best = None
+    for shift in sorted(range(-max_shift, max_shift + 1), key=lambda s: (abs(s), s < 0)):
+        overlap = [j for j in range(len(values)) if 0 <= j + shift < len(entries)]
+        if not overlap:
+            continue
+        bad = [k for k, j in enumerate(overlap) if values[j] != entries[j + shift]]
+        if not bad:
+            return {"matched": True, "shift": shift, "compared": len(overlap)}
+        if best is None or bad[0] > best[0]:
+            j = overlap[bad[0]]
+            best = (bad[0], {"matched": False, "shift": shift, "index": start + j + shift,
+                             "expected": entries[j + shift], "got": values[j]})
+    return best[1]
+
+
+@pytest.fixture(scope="module")
+def bfile_path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("bfiles") / "b000000.txt"
+
+
+@settings(max_examples=150, deadline=None)
+@given(SPECS, st.sampled_from(["terms", "gapsum", "gapprod"]), st.integers(1, 30),
+       st.integers(-3, 3), st.integers(0, 4), st.integers(-3, 3),
+       st.one_of(st.none(), st.integers(0, 29)), st.integers(1, 9),
+       st.booleans(), st.booleans(), st.booleans(), st.sampled_from(["text", "json"]))
+def test_check_oeis(bfile_path, spec, kind, n_entries, shift, max_shift, start, plant, wrong_by,
+                    utf8_comment, bom, crlf, fmt):
+    """A b-file of the oracle's values: shifted by dropping leading values
+    or by putting entries no value equals in front, perhaps with one
+    wrong entry, after a UTF-8 comment or a byte-order mark, with CRLF
+    line ends or not."""
+    count = n_entries + max(0, -shift) + max_shift  # check-oeis computes entries + max_shift
+    terms = oracles.spec_terms(spec, 0, count + 1)
+    if kind == "gapprod":
+        count = min(count, product_count(terms))
+        n_entries = min(n_entries, count - max(0, -shift) - max_shift)
+        assume(n_entries >= 1)
+    if kind == "terms":
+        values = terms[:count]
+    elif kind == "gapsum":
+        values = oracles.gap_sums(terms)
+    else:
+        values = [gap_product(terms[n], terms[n + 1]) for n in range(count)]
+    entries = values[-shift:] if shift < 0 else values
+    unmatched = max(map(abs, values)) + 1
+    entries = [unmatched + i for i in range(max(shift, 0))] + entries
+    entries = entries[:n_entries]
+    if plant is not None and plant < n_entries:
+        entries[plant] += wrong_by
+    lines = ["\ufeff" if bom else "", "# A000000 written from the oracles\n"]
+    lines += ["# caf\u00e9 \u2014 n \u21a6 a(n)\n"] if utf8_comment else []
+    lines += [f"{start + i} {v}\n" for i, v in enumerate(entries)]
+    text = "".join(lines)
+    bfile_path.write_bytes((text.replace("\n", "\r\n") if crlf else text).encode())
+    argv = ["check-oeis", "--spec", spec_text(spec), "--kind", kind, "--id", "A000000",
+            "--bfile", str(bfile_path), "--max-shift", str(max_shift), "--format", fmt]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    want = oeis_verdict(values[:n_entries + max_shift], entries, start, max_shift)
+    reason = oracles.check_check_oeis(fmt, code, out.getvalue(), want)
+    if fmt == "text" and not want["matched"] and want["index"] < 0:
+        # check_check_oeis reads the mismatch index of the text form as
+        # digits without a sign, so it does not recognise a right answer
+        # at a negative index; that line is checked here instead.
+        assert reason == "unrecognised check-oeis output", (argv, text)
+        assert (code, out.getvalue()) == (1, (
+            f"A000000: MISMATCH at index {want['index']}: b-file has {want['expected']}, "
+            f"computed {want['got']} (best shift {want['shift']})\n")), (argv, text)
+    else:
+        assert reason is None, (argv, text)
+
+
+@pytest.mark.parametrize("name", ["figurate", "fc", "raney", "horadam"])
+def test_table(name):
+    assert oracles.check_table(name, cli_out(["table", name, "--format", "json"])) is None

@@ -17,6 +17,8 @@ from gapseq.combinatorics import (
 from gapseq.gaps import gap_product
 from gapseq.sequences import Linear
 
+from conftest import int_digit_limit
+
 
 class TestBinom:
     def test_examples(self):
@@ -115,8 +117,15 @@ class TestAsInteger:
         assert as_integer(Fraction(5)) == 5
 
     def test_not_whole(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^1/2 is not an integer$"):
             as_integer(Fraction(1, 2))
+
+    def test_not_whole_past_the_digit_limit(self, limit_untouched):
+        # Its own message, not str()'s refusal of a 5001-digit numerator.
+        x = Fraction(10**5000 + 1, 2)
+        with int_digit_limit(4300), pytest.raises(ValueError) as info:
+            as_integer(x)
+        assert str(info.value) == "1" + "0" * 4999 + "1/2 is not an integer"
 
 
 class TestGapProductClosed:

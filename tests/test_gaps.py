@@ -190,6 +190,27 @@ class TestProductRange:
         hi = _WIDE_SPAN * n + offset
         assert product_range(hi - n, hi) == balanced_product(hi - n, hi)
 
+    # The route, not only the value: a wide range (at least _WIDE_LENGTH
+    # integers, hi <= _WIDE_SPAN * n) is one _factorial_ratio call, and a
+    # narrow or short one none.
+    @pytest.mark.parametrize("lo, hi, want_calls", [
+        (1, _WIDE_LENGTH + 1, 1),
+        ((_WIDE_SPAN - 1) * _WIDE_LENGTH, _WIDE_SPAN * _WIDE_LENGTH, 1),
+        ((_WIDE_SPAN - 1) * _WIDE_LENGTH + 1, _WIDE_SPAN * _WIDE_LENGTH + 1, 0),
+        (10**6, 10**6 + _WIDE_LENGTH, 0),
+        (1, _WIDE_LENGTH, 0),
+    ], ids=["wide-from-one", "wide-at-the-span", "narrow-past-the-span", "narrow", "short"])
+    def test_factorial_ratio_route(self, monkeypatch, lo, hi, want_calls):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _factorial_ratio(*args)
+
+        monkeypatch.setattr(gaps, "_factorial_ratio", counting)
+        assert product_range(lo, hi) == math.perm(hi - 1, hi - lo)
+        assert len(calls) == want_calls
+
     @settings(max_examples=10, deadline=None)
     @given(near(_WIDE_LENGTH, 2))
     def test_from_one_is_a_factorial(self, n):

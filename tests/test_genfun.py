@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import time
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -45,6 +46,8 @@ GAP_SUM_GF_PARAMS = [
 
 # Denominators up to 12, so normalized den coefficients are often not integers.
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+# Mostly those, and now and then an integer of 100 digits.
+coefficients = rationals | st.integers(10**99, 10**100 - 1).map(lambda n: n * (-1) ** n)
 
 
 class TestPoly:
@@ -83,6 +86,19 @@ class TestRatFuncNormalization:
         num = Poly(tuple(rng.randint(-9, 9) for _ in range(600)) + (1,))
         f = RatFunc(num * Poly((1, -1)), Poly((1, -1)) * Poly((1, -1)))
         assert (f.num, f.den) == (num, Poly((1, -1)))
+
+    @pytest.mark.parametrize("num", [(1, 2, 3), (0, 2, 3)])
+    def test_short_numerator_over_a_long_denominator(self, num):
+        """den/num is reduced and turned over: over a random degree-300
+        denominator, the register of the whole series would run through
+        huge intermediate coefficients (seconds)."""
+        rng = random.Random(300)
+        den = Poly((1, *(rng.randint(-9, 9) for _ in range(299)), 1))
+        started = time.perf_counter()
+        f = RatFunc(Poly(num), den)
+        elapsed = time.perf_counter() - started
+        assert (f.num, f.den) == euclid_reduced(Poly(num), den)
+        assert elapsed < 0.3
 
     def test_rejects_zero_denominator(self):
         with pytest.raises(ValueError):
@@ -306,20 +322,28 @@ class TestGfProperties:
         assert expansion == [gap_sum_signed(spec, n) for n in range(30)]
 
     @given(
-        num=st.lists(rationals, max_size=4),
-        den_tail=st.lists(rationals, max_size=4),
-        den_head=rationals.filter(bool),
+        zeros=st.integers(0, 3),
+        num=st.lists(coefficients, max_size=4),
+        den_tail=st.lists(coefficients, max_size=8),
+        den_head=coefficients.filter(bool),
         factor=st.lists(rationals, max_size=3),
         factor_head=rationals.filter(bool),
     )
-    @example(num=[1, -1], den_tail=[-3, 2], den_head=1, factor=[], factor_head=1)
-    @example(num=[], den_tail=[], den_head=5, factor=[], factor_head=1)
-    @example(num=[1, 2], den_tail=[2], den_head=1, factor=[], factor_head=1)
-    @example(num=[1, 2], den_tail=[1, 1], den_head=-2, factor=[1], factor_head=-1)
-    @example(num=[], den_tail=[0, 0], den_head=1, factor=[0, 0, 7], factor_head=3)
+    @example(zeros=0, num=[1, -1], den_tail=[-3, 2], den_head=1, factor=[], factor_head=1)
+    @example(zeros=0, num=[], den_tail=[], den_head=5, factor=[], factor_head=1)
+    @example(zeros=0, num=[1, 2], den_tail=[2], den_head=1, factor=[], factor_head=1)
+    @example(zeros=0, num=[1, 2], den_tail=[1, 1], den_head=-2, factor=[1], factor_head=-1)
+    @example(zeros=0, num=[], den_tail=[0, 0], den_head=1, factor=[0, 0, 7], factor_head=3)
+    # A short numerator over a long denominator, also divisible by x.
+    @example(zeros=0, num=[3], den_tail=[1, 0, -2, 5, 1], den_head=2, factor=[1], factor_head=1)
+    @example(zeros=2, num=[1, 4], den_tail=[1, 0, -2, 5], den_head=-1, factor=[], factor_head=1)
+    @example(zeros=1, num=[1, 10**100], den_tail=[-(10**99) - 7, 3, 0, 1], den_head=1,
+             factor=[1], factor_head=-1)
     @settings(max_examples=300, deadline=None)
-    def test_normalization_invariants(self, num, den_tail, den_head, factor, factor_head):
+    def test_normalization_invariants(self, zeros, num, den_tail, den_head, factor,
+                                      factor_head):
         """RatFunc reduces to the Euclidean gcd form, a planted common factor included."""
+        num = [0] * zeros + num
         planted = Poly((factor_head, *factor))
         pair = (Poly(tuple(num)) * planted, Poly((den_head, *den_tail)) * planted)
         f = RatFunc(*pair)

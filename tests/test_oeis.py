@@ -281,6 +281,14 @@ def assert_parses_as_reference(text: str) -> None:
             assert bf.start == (want[0][0] if want else 0)
 
 
+def given_as(rows: bytes) -> dict:
+    """ASCII b-file rows in each form parse_bfile takes them: as they
+    are, after a UTF-8 comment line, after a byte-order mark, and as a
+    str."""
+    return {"ascii": rows, "utf8-comment": "# caf\u00e9 \u2014 n \u21a6 a(n)\n".encode() + rows,
+            "byte-order-mark": b"\xef\xbb\xbf" + rows, "str": rows.decode()}
+
+
 class TestParseMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(bfile_texts())
@@ -325,14 +333,17 @@ class TestParseMatchesReference:
 
     def test_canonical_blocks_skip_the_line_loop(self, monkeypatch):
         # Only the line loop calls str_to_int.
-        def refuse(text):
-            raise AssertionError(f"str_to_int({text!r}) was called")
-
-        monkeypatch.setattr(oeis, "str_to_int", refuse)
-        text = b"# A000000\n# n 7n-3\n" + b"".join(b"%d %d\n" % (i, 7 * i - 3)
+        calls = []
+        monkeypatch.setattr(oeis, "str_to_int", lambda text: calls.append(text) or int(text))
+        rows = b"# A000000\n# n 7n-3\n" + b"".join(b"%d %d\n" % (i, 7 * i - 3)
                                                    for i in range(1, 50001))
-        bf = parse_bfile(text)
-        assert bf.start == 1 and bf.values == tuple(range(4, 350000, 7))
+        first_block = rows.count(b"\n", 0, oeis._BLOCK + 64)
+        for name, text in given_as(rows).items():
+            calls.clear()
+            bf = parse_bfile(text)
+            assert bf.start == 1 and bf.values == tuple(range(4, 350000, 7)), name
+            # Only the block that holds the UTF-8 comment takes the line loop.
+            assert len(calls) <= (first_block if name == "utf8-comment" else 0), name
 
     @pytest.mark.parametrize("bad_row, message", [
         (b"123455 1 2\n", "line 123457: expected '<index> <value>', got '123455 1 2'"),
@@ -362,28 +373,30 @@ class TestParseMatchesReference:
     def test_peak_memory_is_the_values_plus_a_block(self):
         # 3.8 MB of text, so a whole decoded copy of it, or a list of
         # all its lines, would pass the bound on its own.
-        text = b"".join(b"%d %d\n" % (n, 3**n + 41) for n in range(4000))
-        tracemalloc.start()
-        try:
-            bf = parse_bfile(text)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert bf.values[-1] == 3**3999 + 41
-        assert peak < kept + 2**20
+        rows = b"".join(b"%d %d\n" % (n, 3**n + 41) for n in range(4000))
+        for name, text in given_as(rows).items():
+            tracemalloc.start()
+            try:
+                bf = parse_bfile(text)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert bf.values[-1] == 3**3999 + 41, name
+            assert peak < kept + 2**20, name
 
     def test_peak_memory_of_short_rows_is_the_values_plus_a_block(self):
         # Short rows put the most rows, and so the most fields, in one
         # block; a block's fields are what the bulk path holds beyond it.
-        text = b"".join(b"%d %d\n" % (i, i) for i in range(50000))
-        tracemalloc.start()
-        try:
-            bf = parse_bfile(text)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert bf.values == tuple(range(50000))
-        assert peak < kept + 2**20
+        rows = b"".join(b"%d %d\n" % (i, i) for i in range(50000))
+        for name, text in given_as(rows).items():
+            tracemalloc.start()
+            try:
+                bf = parse_bfile(text)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert bf.values == tuple(range(50000)), name
+            assert peak < kept + 2**20, name
 
 
 class TestCrossCheck:
