@@ -52,6 +52,9 @@ _STR_BITS = 14000
 _LEAF_DIGITS = 600
 _DIGIT_RUN = re.compile(r"[+-]?[0-9]+")
 
+# The int/str digit limit in force: 0 where it is lifted or absent (before 3.10.7).
+digit_limit = getattr(sys, "get_int_max_str_digits", int)
+
 
 def exact():
     """A ``with`` block running under the exact context (``decimal.localcontext``)."""
@@ -110,8 +113,8 @@ def str_suits(values: list) -> bool:
     """Whether the builtin str may print values: it refuses every int past
     4300 digits, as under the default int/str digit limit or a lower one,
     or values are ints of at most _STR_BITS bits. Where the limit is lifted
-    (0, or no limit before Python 3.10.7) str is quadratic at any length."""
-    if 0 < getattr(sys, "get_int_max_str_digits", int)() <= 4300:
+    (``digit_limit()`` is 0) str is quadratic at any length."""
+    if 0 < digit_limit() <= 4300:
         return True
     try:
         return max(map(int.bit_length, values), default=0) <= _STR_BITS

@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import oeis, tables
-from ._decimal import show, str_suits
+from ._decimal import digit_limit, show, str_suits
 from ._record import as_dict
 from .combinatorics import fc_identity_sides, fuss_catalan, raney, raney_identity_sides
 from .gaps import (
@@ -131,7 +131,7 @@ def parse_spec(text: str) -> SeqSpec:
 
 def _too_long(digits: int) -> bool:
     """Past the int/str digit limit, or 4300 digits where it is lifted or absent."""
-    return digits > (getattr(sys, "get_int_max_str_digits", int)() or 4300)
+    return digits > (digit_limit() or 4300)
 
 
 def _refusal(noun: str, text: str, digits: int) -> argparse.ArgumentTypeError:

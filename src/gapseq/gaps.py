@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
+from itertools import pairwise, starmap
 from math import comb, isqrt, prod
 
-from ._decimal import exact, show
+from ._decimal import exact, show, to_decimal
 from ._record import record
-from .sequences import SeqSpec, _check_count, _index_error, _sieve, decimal_terms, terms
+from .sequences import SeqSpec, _check_count, _index_error, _run, _sieve, terms
 
 
 @record
@@ -36,9 +37,8 @@ class Gap:
 
 
 # Each statistic is one pure function of a consecutive pair (a, b) =
-# (a_n, a_(n+1)). The per-n functions below (on the pair terms(spec, n, 2),
-# one O(log n) jump for Horadam) and ``gap_sequence`` both apply these, so
-# the arithmetic exists once.
+# (a_n, a_(n+1)), applied by the per-n functions below (to terms(spec, n, 2),
+# one O(log n) jump for Horadam) and by ``gap_sequence``: the arithmetic exists once.
 
 
 def gap_span_between(a: int, b: int) -> tuple[int, int]:
@@ -80,23 +80,22 @@ def gap_product_between(a: int, b: int) -> int:
 
 
 def gap_sequence(stat: Callable[[int, int], object], spec: SeqSpec, count: int) -> list:
-    """stat(a_n, a_(n+1)) for n = 0 .. count-1, from one pass over the terms."""
-    values = terms(spec, 0, _check_count(count) + 1)
-    return list(map(stat, values, values[1:]))
+    """stat(a_n, a_(n+1)) for n = 0 .. count-1, pairing the terms of one run as they come."""
+    return list(starmap(stat, pairwise(_run(spec, 0, _check_count(count) + 1, int))))
 
 
 def decimal_gap_sequence(stat: Callable[[int, int], int], spec: SeqSpec, count: int) -> list:
     """The values of ``gap_sequence(stat, spec, count)``, ready to print,
     for a stat of plain arithmetic (the gap sums).
 
-    stat runs on ``decimal_terms``, so the sums of Horadam and geometric
-    terms are exact Decimals, whose ``str`` is linear where an int's is
-    quadratic. The unary plus turns a Decimal negative zero, as in the
-    signed sum 0 * -97 // 2, into 0.
+    stat runs on the Decimal run of ``decimal_terms``, so the sums of Horadam
+    and geometric terms are exact Decimals, whose ``str`` is linear where an
+    int's is quadratic. The unary plus turns a Decimal negative zero, as in
+    the signed sum 0 * -97 // 2, into 0.
     """
     with exact():
-        values = decimal_terms(spec, 0, _check_count(count) + 1)
-        return [+v for v in map(stat, values, values[1:])]
+        run = _run(spec, 0, _check_count(count) + 1, to_decimal)
+        return [+v for v in starmap(stat, pairwise(run))]
 
 
 def gap(spec: SeqSpec, n: int) -> Gap:

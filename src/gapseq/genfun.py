@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from ._decimal import exact, int_to_str, to_decimal
+from ._decimal import exact, show, to_decimal
 from ._record import record
 from .gaps import gap_sequence, gap_sum_signed_between
 from .sequences import Horadam, N, _check_count
@@ -308,7 +308,7 @@ def _poly_to_text(coeffs: Sequence[int]) -> str:
         if c == 0:
             continue
         x = "" if power == 0 else "x" if power == 1 else f"x^{power}"
-        body = x if x and abs(c) == 1 else int_to_str(abs(c)) + x
+        body = x if x and abs(c) == 1 else show(abs(c)) + x
         if not parts:
             parts.append(f"-{body}" if c < 0 else body)
         else:

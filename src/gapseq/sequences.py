@@ -13,14 +13,14 @@ Decimals, whose ``str`` is linear where an int's is quadratic.
 from __future__ import annotations
 
 from _thread import allocate_lock
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice, repeat
 from math import comb, isqrt, log
 from operator import index
 
-from ._decimal import exact, int_to_str, show, to_decimal
+from ._decimal import exact, show, to_decimal
 from ._record import record
 
 N = int | Decimal  # an int, or an exact Decimal integer
@@ -52,7 +52,7 @@ class Linear:
     def __post_init__(self) -> None:
         _index_fields(self)
         if self.k < 0:
-            raise SpecError(f"linear slope must be >= 0, got {int_to_str(self.k)}")
+            raise SpecError(f"linear slope must be >= 0, got {show(self.k)}")
 
 
 @record
@@ -65,7 +65,7 @@ class Geometric:
     def __post_init__(self) -> None:
         _index_fields(self)
         if self.k < 2:
-            raise SpecError(f"geometric base must be >= 2, got {int_to_str(self.k)}")
+            raise SpecError(f"geometric base must be >= 2, got {show(self.k)}")
 
 
 @record
@@ -89,8 +89,7 @@ class Polynomial:
         for n in range(_degree(coeffs) + 1):
             v = _poly_at(coeffs, n)
             if v.denominator != 1:
-                raise SpecError(f"polynomial is not integer-valued: p({n}) = "
-                                f"{int_to_str(v.numerator)}/{int_to_str(v.denominator)}")
+                raise SpecError(f"polynomial is not integer-valued: p({n}) = {show(v)}")
 
 
 @record
@@ -103,9 +102,9 @@ class Binomial:
     def __post_init__(self) -> None:
         _index_fields(self)
         if self.shift < 0:
-            raise SpecError(f"binomial shift must be >= 0, got {int_to_str(self.shift)}")
+            raise SpecError(f"binomial shift must be >= 0, got {show(self.shift)}")
         if self.lower < 1:
-            raise SpecError(f"binomial lower index must be >= 1, got {int_to_str(self.lower)}")
+            raise SpecError(f"binomial lower index must be >= 1, got {show(self.lower)}")
 
 
 @record
@@ -128,7 +127,7 @@ class Horadam:
     def __post_init__(self) -> None:
         _index_fields(self)
         if self.shift < 0:
-            raise SpecError(f"horadam shift must be >= 0, got {int_to_str(self.shift)}")
+            raise SpecError(f"horadam shift must be >= 0, got {show(self.shift)}")
 
 
 @record
@@ -170,7 +169,8 @@ PELL = Horadam(0, 1, 2, 1)
 def term(spec: SeqSpec, n: int) -> int:
     """Exact n-th term (n >= 0) of the sequence described by spec: a run of
     one, which never steps, so each family uses its per-index formula."""
-    return _run(spec, n, 1, int)[0]
+    (value,) = _run(spec, n, 1, int)
+    return value
 
 
 def terms(spec: SeqSpec, n0: int, count: int) -> list[int]:
@@ -180,7 +180,7 @@ def terms(spec: SeqSpec, n0: int, count: int) -> list[int]:
     recurrence; polynomials step by integer forward differences; primes
     and the folding walk slice their bulk-built tables.
     """
-    return _run(spec, n0, count, int)
+    return list(_run(spec, n0, count, int))
 
 
 def decimal_terms(spec: SeqSpec, n0: int, count: int) -> list:
@@ -191,34 +191,35 @@ def decimal_terms(spec: SeqSpec, n0: int, count: int) -> list:
     Decimals in subquadratic time, so those runs step on Decimals. Every
     other family returns the ints of ``terms``, whose values stay short.
     """
-    with exact():
-        return _run(spec, n0, count, to_decimal)
+    with exact():  # the Decimal run steps as the list reads it
+        return list(_run(spec, n0, count, to_decimal))
 
 
-def _run(spec: SeqSpec, n0: int, count: int, lift: Callable[[int], N]) -> list:
-    """The one family dispatch of ``term``, ``terms`` and ``decimal_terms``:
-    lift maps the Horadam and geometric seeds to the number type their run
-    steps on."""
+def _run(spec: SeqSpec, n0: int, count: int, lift: Callable[[int], N]) -> Iterable:
+    """a_n0 .. a_(n0+count-1), each made as it is read, once the arguments
+    are checked: the one family dispatch. lift maps the Horadam and geometric
+    seeds to the number type their run steps on; read a Decimal run under
+    ``exact()``."""
     if n0 < 0:
         raise _index_error(n0)
     if _check_count(count) == 0:
-        return []
+        return ()
     end = n0 + count
     match spec:
         case Linear(k=k, r=r):
-            return [k * n + r for n in range(n0, end)]
+            return range(k * n0 + r, k * end + r, k) if k else repeat(r, count)
         case Geometric(k=k, offset=offset):
             return _geometric_run(lift(k**n0), lift(k), lift(offset), count)
         case Polynomial(coeffs=coeffs):
             return _polynomial_run(coeffs, n0, count)
         case Binomial(shift=shift, lower=lower):
-            return [comb(m, lower) for m in range(n0 + shift, end + shift)]
+            return map(comb, range(n0 + shift, end + shift), repeat(lower))
         case Horadam(r=r, s=s):
             a, b = _horadam_pair(spec, n0 + spec.shift)
             return _horadam_run(lift(a), lift(b), lift(r), lift(s), count)
         case Primes():
             nth_prime(end - 1)
-            return _primes[n0:end]
+            return islice(_primes, n0, end)
         case Fold():
             from .folding import walk  # local import: folding depends on this module
 
@@ -226,29 +227,26 @@ def _run(spec: SeqSpec, n0: int, count: int, lift: Callable[[int], N]) -> list:
         case Explicit(terms=values):
             if end > len(values):
                 raise _explicit_range_error(values, max(n0, len(values)))
-            return list(values[n0:end])
+            return islice(values, n0, end)
     raise TypeError(f"not a sequence spec: {spec!r}")
 
 
-def _geometric_run(power: N, k: N, offset: N, count: int) -> list[N]:
+def _geometric_run(power: N, k: N, offset: N, count: int) -> Iterator[N]:
     """power + offset, then k times as much power each step (k >= 2, so
     power > 0 and no Decimal sum is a negative zero)."""
-    out = []
     for _ in range(count):
-        out.append(power + offset)
+        yield power + offset
         power *= k
-    return out
 
 
-def _horadam_run(a: N, b: N, r: N, s: N, count: int) -> list[N]:
+def _horadam_run(a: N, b: N, r: N, s: N, count: int) -> Iterator[N]:
     """a, b, then r*b + s*a each step, count values in all. The unary plus
     changes no int; on a Decimal it turns the negative zero of, say,
     (-1)*0 + (-1)*0 into 0, which prints as "0"."""
-    out = [a]
+    yield a
     for _ in range(count - 1):
         a, b = b, +(r * b + s * a)
-        out.append(a)
-    return out
+        yield a
 
 
 def _index_error(n: int) -> IndexError:
@@ -300,7 +298,7 @@ def _poly_at(coeffs: tuple[Fraction, ...], n: int) -> Fraction:
     return value
 
 
-def _polynomial_run(coeffs: tuple[Fraction, ...], n0: int, count: int) -> list[int]:
+def _polynomial_run(coeffs: tuple[Fraction, ...], n0: int, count: int) -> Iterable[int]:
     """Terms of a polynomial from deg + 1 exact start values, then integer
     forward differences: each level is the running sum of the level below.
     A run no longer than deg + 1 is just its start values."""
@@ -312,9 +310,9 @@ def _polynomial_run(coeffs: tuple[Fraction, ...], n0: int, count: int) -> list[i
     for j in range(1, degree + 1):  # row[j] becomes the j-th difference at n0
         for i in range(degree, j - 1, -1):
             row[i] -= row[i - 1]
-    level = [row[degree]] * (count - degree)
+    level = repeat(row[degree], count - degree)
     for j in range(degree - 1, -1, -1):
-        level = list(accumulate(level, initial=row[j]))
+        level = accumulate(level, initial=row[j])
     return level
 
 

@@ -216,7 +216,33 @@ def _other_argvs() -> list[list[str]]:
     ]
 
 
-ARGVS = _spec_argvs() + _gf_argvs() + _scalar_argvs() + _check_oeis_argvs() + _other_argvs()
+def _run_shape_argvs() -> list[list[str]]:
+    """A constant linear run from an offset, a linear run with negative r,
+    and runs of no value and of one value of every indexed command for each
+    family with a formula or a recurrence, in every format; the text runs
+    that _spec_argvs already holds are left out."""
+    argvs = []
+    for fmt in FORMATS:
+        if fmt != "text":
+            argvs.append(["terms", "--spec", "linear:0,-5", "--count", "4", "--from", "6",
+                          "--format", fmt])
+        argvs.append(["terms", "--spec", "linear:4,-9", "--count", "4", "--from", "6",
+                      "--format", fmt])
+        argvs += [[command, "--spec", "linear:4,-9", "--count", "6", "--format", fmt, *kind]
+                  for command, kind in (("gaps", []), ("gapsum", []), ("gapsum", ["--signed"]),
+                                        ("gapsum", ["--abs"]), ("gapprod", []))]
+        for spec in ("linear:4,-9", "geom:3,-1", "poly:0,1/2,1/2", "binom:2,3",
+                     "horadam:2,-1,-3,5", "explicit:5,3,9,2,12,0,-4,7,7,20,1,15,30"):
+            for count in ("0", "1"):
+                for command in ("terms", "gapsum", "gapprod", "gaps"):
+                    held = command == "terms" or (command, count) == ("gapsum", "0")
+                    if not (fmt == "text" and spec in SPECS and held):
+                        argvs.append([command, "--spec", spec, "--count", count, "--format", fmt])
+    return argvs
+
+
+ARGVS = (_spec_argvs() + _gf_argvs() + _scalar_argvs() + _check_oeis_argvs() + _other_argvs()
+         + _run_shape_argvs())
 
 
 def _limits(argv: list[str]) -> tuple[int, ...]:

@@ -11,6 +11,8 @@ common factor, and ``gf`` every kind, each Horadam statistic computed
 from ``oracles.horadam_terms``. ``check-oeis`` gets b-files written from
 the oracles' values, shifted, with a planted wrong entry, a UTF-8
 comment, a byte-order mark or CRLF line ends, and ``table`` each name.
+Explicit lists, negative terms and descents included, are their own
+oracle for the terms; a count past the list must fail with exit 2.
 """
 
 import contextlib
@@ -122,6 +124,73 @@ def test_gapprod(spec, count, fmt):
 def test_gaps_csv(spec, count):
     out = cli_out(["gaps", "--spec", spec_text(spec), "--count", str(count), "--format", "csv"])
     assert oracles.check_gaps_csv(oracles.spec_terms(spec, 0, count + 1), out) is None, out
+
+
+EXPLICITS = st.lists(st.integers(-60, 60), min_size=2, max_size=30)
+
+
+def explicit_text(values: list[int]) -> str:
+    return "explicit:" + ",".join(map(str, values))
+
+
+@settings(max_examples=120, deadline=None)
+@given(EXPLICITS, st.data(), FORMATS)
+def test_explicit_terms(values, data, fmt):
+    start = data.draw(st.integers(0, len(values)))
+    count = data.draw(st.integers(0, len(values) - start))
+    argv = ["terms", "--spec", explicit_text(values), "--count", str(count), "--from", str(start),
+            "--format", fmt]
+    check(fmt, values[start:start + count], argv, start)
+
+
+@settings(max_examples=120, deadline=None)
+@given(EXPLICITS, st.data(), st.sampled_from(["clamped", "signed", "abs"]), FORMATS)
+def test_explicit_gapsum(values, data, kind, fmt):
+    count = data.draw(st.integers(0, len(values) - 1))
+    flags = [] if kind == "clamped" else [f"--{kind}"]
+    argv = ["gapsum", "--spec", explicit_text(values), "--count", str(count), *flags,
+            "--format", fmt]
+    check(fmt, oracles.gap_sums(values[:count + 1], kind), argv)
+
+
+@settings(max_examples=120, deadline=None)
+@given(EXPLICITS, FORMATS)
+def test_explicit_gapprod(values, fmt):
+    count = product_count(values)
+    want = [gap_product(values[n], values[n + 1]) for n in range(count)]
+    check(fmt, want, ["gapprod", "--spec", explicit_text(values), "--count", str(count),
+                      "--format", fmt])
+
+
+@settings(max_examples=120, deadline=None)
+@given(EXPLICITS, st.data())
+def test_explicit_gaps_csv(values, data):
+    count = data.draw(st.integers(0, len(values) - 1))
+    out = cli_out(["gaps", "--spec", explicit_text(values), "--count", str(count),
+                   "--format", "csv"])
+    assert oracles.check_gaps_csv(values[:count + 1], out) is None, out
+
+
+@settings(max_examples=120, deadline=None)
+@given(EXPLICITS, st.data(), st.sampled_from(["terms", "gapsum", "gapprod", "gaps"]), FORMATS)
+def test_explicit_overrun(values, data, command, fmt):
+    """A count past the list is a usage error that names the list's length
+    and the first index it lacks, before anything is written."""
+    n = len(values)
+    if command == "terms":
+        start = data.draw(st.integers(0, n + 5))
+        count = data.draw(st.integers(max(1, n - start + 1), n + 6))
+        extra, index = ["--from", str(start)], max(start, n)
+    else:
+        count = data.draw(st.integers(n, n + 5))  # needs count + 1 > n terms
+        extra, index = [], n
+    argv = [command, "--spec", explicit_text(values), "--count", str(count), *extra,
+            "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    message = f"explicit sequence has {n} terms, index {index} is out of range"
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", f"gapseq: error: {message}\n"), argv
 
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapseq.cli as cli
+from gapseq import gaps, sequences
 from gapseq._decimal import _DIRECT_BITS, exact, int_to_str, str_to_int, to_decimal
 from gapseq.cli import run
 from gapseq.gaps import (
@@ -146,6 +147,10 @@ class TestDecimalGapSums:
     def test_matches_gap_sequence(self, spec, stat, count):
         got = decimal_gap_sequence(stat, spec, count)
         assert texts(got) == texts(gap_sequence(stat, spec, count))
+        # A Decimal equals the int it denotes, so only the type shows that
+        # the sums were taken on the Decimal run; the clamped sum of an
+        # empty gap is the int 0 on either run.
+        assert all(isinstance(v, Decimal) for v in got if v or stat is not gap_sum_between)
 
     def test_signed_zero_sum_prints_no_negative_zero(self):
         got = decimal_gap_sequence(gap_sum_signed_between, Geometric(2, -50), 3)
@@ -209,6 +214,23 @@ class TestCliRuns:
     ])
     def test_no_negative_zero(self, capsys, argv, want):
         assert run(argv) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("command", ["terms", "gapsum"])
+    def test_fibonacci_seeds_are_lifted(self, capsys, monkeypatch, command):
+        """The seeds h(0), h(1) and the coefficients r, s of the run, in
+        that order, go through to_decimal once each, whatever module runs it."""
+        lifted = []
+
+        def spy(n):
+            lifted.append(n)
+            return to_decimal(n)
+
+        for module in (sequences, gaps):
+            monkeypatch.setattr(module, "to_decimal", spy)
+        assert run([command, "--spec", "fib", "--count", "6"]) == 0
+        assert lifted == [0, 1, 1, 1]
+        want = {"terms": "0 1 1 2 3 5\n", "gapsum": "0 0 0 0 4 13\n"}[command]
         assert capsys.readouterr().out == want
 
     def test_callers_decimal_context_is_unchanged(self, capsys):

@@ -17,10 +17,15 @@ from gapseq.gaps import (
     Gap,
     _factorial_ratio,
     _mul,
+    decimal_gap_sequence,
     gap,
     gap_product,
+    gap_product_between,
+    gap_sequence,
+    gap_span_between,
     gap_sum,
     gap_sum_abs,
+    gap_sum_between,
     gap_sum_geometric_closed,
     gap_sum_linear_closed,
     gap_sum_signed,
@@ -36,6 +41,7 @@ from gapseq.sequences import (
     Polynomial,
     Primes,
     term,
+    terms,
 )
 
 from conftest import balanced_product
@@ -387,6 +393,31 @@ class TestMul:
         size = got.bit_length() / 8
         assert got.bit_length() > 1_800_000
         assert peak < 5 * size
+
+
+class TestRunMemory:
+    """A gap sequence pairs the terms of one run as the run makes them, and
+    a polynomial run makes each level as the level above reads it, so each
+    call peaks at the list it returns plus a few KiB. A list of the terms,
+    a shifted copy of it, or a whole list per level cost 0.8 to 2.7 MiB
+    more on these calls."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: gap_sequence(gap_sum_between, Linear(7, 3), 57000),
+        lambda: decimal_gap_sequence(gap_sum_between, Linear(7, 3), 57000),
+        lambda: gap_sequence(gap_span_between, Binomial(3, 3), 19600),
+        lambda: gap_sequence(gap_product_between, Linear(5, 20), 26000),
+        lambda: terms(Polynomial((3, Fraction(5, 2), Fraction(7, 2))), 0, 20000),
+    ], ids=["gap-sums", "decimal-gap-sums", "gap-spans", "gap-products", "polynomial-terms"])
+    def test_peak_is_the_returned_list(self, call):
+        tracemalloc.start()
+        try:
+            result = call()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result) >= 19600
+        assert peak < kept + 16 * 2**10
 
 
 class TestClosedForms:
