@@ -5,7 +5,10 @@ is quadratic below 4300 digits on Python 3.10-3.13 (and everywhere on
 3.10 and 3.11). Stepping a recurrence with small integer coefficients
 costs about the same on either type, so the CLI runs the recurrences
 whose values it prints (Horadam and geometric terms, their gap sums,
-and generating-function expansions at scale 1) on Decimal.
+and generating-function expansions at scale 1) on Decimal. It also
+multiplies long narrow gap products as Decimals, over int leaves of
+about _DIRECT_BITS bits that ``to_decimal`` lifts; libmpdec multiplies
+huge Decimals by a number-theoretic transform.
 
 Every operation runs under one exact context, entered only through
 ``exact()``, so a caller's own decimal context never changes. Any

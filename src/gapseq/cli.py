@@ -13,7 +13,9 @@ parser of the subcommand it names; help and unknown commands build all.
 ``terms``, ``gapsum``, ``gf --expand`` and ``expand`` print values from
 exact Decimal runs (``decimal_terms``, ``decimal_gap_sequence``,
 ``decimal_expansion``): their values grow exponentially, and ``str`` of
-a Decimal is linear where an int's is quadratic. Indexed output goes out
+a Decimal is linear where an int's is quadratic. ``gapprod`` prints its
+long narrow products as Decimal product trees
+(``gaps._printed_product_between``). Indexed output goes out
 in writes of about 64 KiB, so no output is held whole. Through
 ``_decimal.show`` and ``_json``, output is exact under any int/str digit
 limit, which gapseq never changes; command-line numbers stay within it.
@@ -39,6 +41,7 @@ from ._decimal import digit_limit, show, str_suits
 from ._record import as_dict
 from .combinatorics import fc_identity_sides, fuss_catalan, raney, raney_identity_sides
 from .gaps import (
+    _printed_product_between,
     decimal_gap_sequence,
     gap_product_between,
     gap_sequence,
@@ -323,7 +326,7 @@ def _cmd_gapsum(ns: argparse.Namespace) -> None:
 
 def _cmd_gapprod(ns: argparse.Namespace) -> None:
     spec = parse_spec(ns.spec)
-    values = gap_sequence(gap_product_between, spec, ns.count)
+    values = gap_sequence(_printed_product_between, spec, ns.count)
     _emit_indexed(ns, {"command": "gapprod", "spec": ns.spec}, values)
 
 

@@ -5,7 +5,8 @@ a_(n+1). Three sum variants exist: ``gap_sum`` clamps to 0 on empty gaps,
 ``gap_sum_signed`` evaluates the closed form without clamping (negative at
 descents), and ``gap_sum_abs`` sums a_n + j over j = 1 .. |a_(n+1)-a_n-1|.
 ``gap_sequence`` computes any of them for n = 0 .. count-1 in one pass;
-``decimal_gap_sequence`` gives the same sums as exact Decimals to print.
+``decimal_gap_sequence`` gives the same sums as exact Decimals to print,
+and ``_printed_product_between`` the gap products.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from itertools import pairwise, starmap
-from math import comb, isqrt, prod
+from decimal import Decimal
+from math import comb, isqrt, perm, prod
 
-from ._decimal import exact, show, to_decimal
+from ._decimal import _DIRECT_BITS, exact, show, to_decimal
 from ._record import record
 from .sequences import SeqSpec, _check_count, _index_error, _run, _sieve, terms
 
@@ -138,23 +140,37 @@ _WIDE_SPAN = 8
 def product_range(lo: int, hi: int) -> int:
     """Product of the integers in [lo, hi); 1 when empty.
 
-    Long ranges are split in half so partial products stay balanced in
-    size, which is much faster than a running product once the result
-    reaches thousands of bits. A long positive range that is wide
-    against its start is the factorial ratio (hi-1)!/(lo-1)!, and is
-    built from prime exponents instead (``_factorial_ratio``). On both
-    paths, products of long factors of like length are Toom-3 products
-    (``_mul``) over the builtin one. A long range that contains 0 is 0
-    without a multiplication.
+    A range of at most 64 integers is one ``math.perm`` (hi-1)!/(lo-1)!,
+    with the sign of (-1)**n for a range below 0, and a range that
+    contains 0 is 0 without a multiplication. Longer ranges are split in
+    half so partial products stay balanced in size, which is much faster
+    than a running product once the result reaches thousands of bits.
+    A long positive range that is wide against its start is the
+    factorial ratio (hi-1)!/(lo-1)!, and is built from prime exponents
+    instead (``_factorial_ratio``). On both paths, products of long
+    factors of like length are Toom-3 products (``_mul``) over the
+    builtin one.
     """
     n = hi - lo
-    if n <= 64:
-        return prod(range(lo, hi))
+    if n <= 0:
+        return 1
     if lo <= 0 < hi:
         return 0
-    if n >= _WIDE_LENGTH and 0 < lo and hi <= _WIDE_SPAN * n:
+    if n <= 64:
+        if lo > 0:
+            return perm(hi - 1, n)
+        p = perm(-lo, n)
+        return -p if n & 1 else p
+    if _is_wide(lo, hi):
         return _factorial_ratio(lo, hi)
     return _product(range(lo, hi), 0, n)
+
+
+def _is_wide(lo: int, hi: int) -> bool:
+    """Whether [lo, hi) takes ``_factorial_ratio``: at least _WIDE_LENGTH
+    integers, all positive, and hi at most _WIDE_SPAN times as many."""
+    n = hi - lo
+    return n >= _WIDE_LENGTH and 0 < lo and hi <= _WIDE_SPAN * n
 
 
 def _factorial_ratio(lo: int, hi: int) -> int:
@@ -205,11 +221,38 @@ def _exponent_runs(top: int, base: int) -> Iterator[tuple[int, Sequence[int]]]:
 def _product(values: Sequence[int], lo: int, hi: int) -> int:
     """Product of values[lo:hi], split in half so that partial products
     stay balanced in size; each merge goes through ``_mul``, so the long
-    merges near the root are Toom-3 products."""
+    merges near the root are Toom-3 products. A leaf over a range of
+    positive integers is one ``math.perm``; a running product on Python
+    3.10, so the split stays above 64 values."""
     if hi - lo <= 64:
+        if isinstance(values, range) and values.start > 0:
+            return perm(values[hi - 1], hi - lo)
         return prod(values[lo:hi])
     mid = (lo + hi) // 2
     return _mul(_product(values, lo, mid), _product(values, mid, hi))
+
+
+def _printed_product_between(a: int, b: int) -> int | Decimal:
+    """``gap_product_between(a, b)``, ready to print: a long narrow
+    product of positive integers comes as an exact Decimal, whose ``str``
+    is linear where an int's is quadratic; any other as the int of
+    ``product_range``."""
+    lo, hi = a + 1, b
+    if hi - lo <= 64 or lo <= 0 or _is_wide(lo, hi):
+        return product_range(lo, hi)
+    with exact():
+        return _decimal_product(range(lo, hi), 0, hi - lo)
+
+
+def _decimal_product(values: range, lo: int, hi: int) -> Decimal:
+    """Product of values[lo:hi] for a range of positive integers, as a
+    Decimal: split in half down to leaves of about _DIRECT_BITS bits (or
+    one value), whose int products ``to_decimal`` lifts, and multiplied
+    as Decimals above them. Run under ``exact()``."""
+    if hi - lo == 1 or (hi - lo) * values[hi - 1].bit_length() <= _DIRECT_BITS:
+        return to_decimal(_product(values, lo, hi))
+    mid = (lo + hi) // 2
+    return _decimal_product(values, lo, mid) * _decimal_product(values, mid, hi)
 
 
 # Factors of at least _TOOM_BITS bits whose lengths are within a factor

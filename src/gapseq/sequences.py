@@ -180,7 +180,8 @@ def terms(spec: SeqSpec, n0: int, count: int) -> list[int]:
     recurrence; polynomials step by integer forward differences; primes
     and the folding walk slice their bulk-built tables.
     """
-    return list(_run(spec, n0, count, int))
+    run = _run(spec, n0, count, int)
+    return run if isinstance(run, list) else list(run)
 
 
 def decimal_terms(spec: SeqSpec, n0: int, count: int) -> list:
@@ -199,7 +200,8 @@ def _run(spec: SeqSpec, n0: int, count: int, lift: Callable[[int], N]) -> Iterab
     """a_n0 .. a_(n0+count-1), each made as it is read, once the arguments
     are checked: the one family dispatch. lift maps the Horadam and geometric
     seeds to the number type their run steps on; read a Decimal run under
-    ``exact()``."""
+    ``exact()``. Only the fold walk comes as a list, a fresh slice that
+    ``terms`` returns as it is."""
     if n0 < 0:
         raise _index_error(n0)
     if _check_count(count) == 0:

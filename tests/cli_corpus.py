@@ -171,6 +171,10 @@ def _other_argvs() -> list[list[str]]:
     """Outputs past 4300 digits, arguments past 640, errors, help and usage errors."""
     return [
         *(["gapprod", "--spec", "geom:2", "--count", "12", "--format", fmt] for fmt in FORMATS),
+        # Gaps of up to 255 integers of 700 digits each: products as wide as
+        # their one-element leaves, which are wider than to_decimal's pieces.
+        *(["gapprod", "--spec", "geom:2,1" + "0" * 700, "--count", "9", "--format", fmt]
+          for fmt in FORMATS),
         ["terms", "--spec", "fib", "--from", "100000", "--count", "50", "--format", "json"],
         ["terms", "--spec", "geom:7,-1", "--from", "6000", "--count", "3", "--format", "csv"],
         ["gapsum", "--spec", "pell", "--count", "40", "--signed", "--format", "json"],

@@ -16,6 +16,7 @@ import pytest
 import gapseq
 import gapseq._decimal as _decimal
 import gapseq.cli as cli
+import gapseq.gaps as gaps
 import gapseq.oeis as oeis
 from gapseq.cli import parse_spec, run
 from gapseq.combinatorics import fuss_catalan, raney
@@ -668,14 +669,19 @@ class TestDigitLimit:
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_lifted_limit_prints_long_ints_through_decimal(self, capsys, monkeypatch, fmt):
+        """The same bytes under a lifted limit, and the route: the products of
+        more than 64 integers (n >= 7) are Decimal products over leaves of at
+        most _DIRECT_BITS bits, and no whole product goes through to_decimal."""
         argv = ["gapprod", "--spec", "geom:2", "--count", "12", "--format", fmt]
         want = run_ok(capsys, argv)
-        converted, to_decimal = [], _decimal.to_decimal
-        monkeypatch.setattr(_decimal, "to_decimal", lambda n: converted.append(n) or to_decimal(n))
+        whole, leaves, to_decimal = [], [], _decimal.to_decimal
+        monkeypatch.setattr(_decimal, "to_decimal", lambda n: whole.append(n) or to_decimal(n))
+        monkeypatch.setattr(gaps, "to_decimal", lambda n: leaves.append(n) or to_decimal(n))
         with int_digit_limit(0):
             assert run_ok(capsys, argv) == want
-        long = [v for v in self.PRODUCTS if v.bit_length() > _decimal._STR_BITS]
-        assert long and converted == long
+        assert whole == []
+        assert max(map(int.bit_length, leaves)) <= _decimal._DIRECT_BITS
+        assert math.prod(leaves) == math.prod(self.PRODUCTS[7:])
 
     @pytest.mark.parametrize("argv", [
         ["gapprod", "--spec", "geom:2", "--count", "12", "--format", "text"],

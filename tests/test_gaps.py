@@ -2,6 +2,7 @@ import math
 import operator
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from math import prod
 from unittest import mock
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapseq.gaps as gaps
+from gapseq._decimal import _DIRECT_BITS, show
 from gapseq.gaps import (
     _WIDE_LENGTH,
     _WIDE_SPAN,
@@ -44,7 +46,7 @@ from gapseq.sequences import (
     terms,
 )
 
-from conftest import balanced_product
+from conftest import balanced_product, int_digit_limit
 
 HALF = Fraction(1, 2)
 
@@ -262,6 +264,125 @@ class TestProductRange:
         assert product_range(-199999, 200000) == 0
         assert product_range(-65, 1) == 0
 
+    # Short ranges are one math.perm: the value, and the route.
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-3, 66), st.one_of(st.integers(-10**30, -1), st.just(0),
+                                          st.integers(1, 10**30), st.integers(-70, 70)))
+    def test_short_ranges_of_either_sign(self, n, lo):
+        want = prod(range(lo, lo + n))
+        assert product_range(lo, lo + n) == want
+        if n <= 0:
+            assert want == 1  # a descent
+
+    def test_short_ranges_make_no_running_product(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("took prod")
+
+        monkeypatch.setattr(gaps, "prod", fail)  # this module's prod stays math.prod
+        for lo, hi in [(1, 65), (10**20, 10**20 + 64), (-64, 0), (-10**20 - 63, -10**20 + 1),
+                       (5, 6), (-5, -4), (7, 3), (-3, 4)]:
+            assert product_range(lo, hi) == prod(range(lo, hi))
+        # Long positive ranges: every leaf of the balanced split is a perm too.
+        assert product_range(1, 2000) == math.factorial(1999)
+        assert product_range(1000, 3000) == math.perm(2999, 2000)
+
+
+class TestProductLeaves:
+    """_product's leaves: one perm over a range of positive integers, a
+    running product over any other range and over a list of primes."""
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    @pytest.mark.parametrize("start", [1, 0, -1, -200, 10**12])
+    def test_leaves_around_the_split(self, n, start):
+        values = range(start, start + n + 7)
+        for lo in (0, 3, 7):
+            assert gaps._product(values, lo, lo + n) == prod(values[lo:lo + n])
+
+    def test_prime_lists_and_negative_ranges_keep_prod(self, monkeypatch):
+        calls = []
+        real = prod
+
+        def counting(values):
+            calls.append(1)
+            return real(values)
+
+        monkeypatch.setattr(gaps, "prod", counting)
+        assert gaps._product([3, 5, 7, 11], 0, 4) == 1155
+        assert gaps._product(range(-70, -1), 0, 69) == prod(range(-70, -1))
+        assert len(calls) == 3
+
+
+def _printed(lo: int, n: int) -> tuple[str, str]:
+    """The CLI's printed product of [lo, lo + n) as show prints it (str for
+    a Decimal), and the library's int product likewise."""
+    printed = gaps._printed_product_between(lo - 1, lo + n)
+    return show(printed), show(gap_product_between(lo - 1, lo + n))
+
+
+class TestPrintedProduct:
+    """gapprod prints a product of more than 64 positive integers that does
+    not take _factorial_ratio from an exact Decimal; every other product is
+    the int of product_range. The printed text is show's in every case."""
+
+    @pytest.mark.parametrize("limit", [4300, 0])
+    @pytest.mark.parametrize("n", [63, 64, 65, 66])
+    @pytest.mark.parametrize("lo", [-70, -1, 0, 1, 2, 10**30])
+    def test_around_64_and_zero(self, limit, n, lo):
+        with int_digit_limit(limit):
+            printed, want = _printed(lo, n)
+        assert printed == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.integers(-4, 4), st.integers(0, 2**20), st.sampled_from([4300, 0]))
+    def test_around_the_leaf_bits(self, bits, offset, low, limit):
+        """Products of about _DIRECT_BITS bits: leaves of a few values up to
+        the whole product in one leaf."""
+        lo = (1 << (bits - 1)) + low % (1 << (bits - 1))
+        n = max(1, _DIRECT_BITS // bits + offset)
+        with int_digit_limit(limit):
+            printed, want = _printed(lo, n)
+        assert printed == want
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(_DIRECT_BITS - 3, _DIRECT_BITS + 70), st.integers(65, 140),
+           st.integers(0, 2**64), st.sampled_from([4300, 0]))
+    def test_values_wider_than_a_leaf(self, bits, n, low, limit):
+        """Every leaf one value, and a value as long as to_decimal's pieces or longer."""
+        lo = (1 << (bits - 1)) + low
+        with int_digit_limit(limit):
+            printed, want = _printed(lo, n)
+        assert printed == want
+
+    @settings(max_examples=6, deadline=None)
+    @given(near(_WIDE_LENGTH, 2), st.integers(-2, 2), st.sampled_from([4300, 0]))
+    def test_around_the_wide_thresholds(self, n, offset, limit):
+        hi = _WIDE_SPAN * n + offset
+        with int_digit_limit(limit):
+            printed, want = _printed(hi - n, n)
+        assert printed == want
+
+    @pytest.mark.parametrize("lo, n, decimal", [
+        (1, 64, False),
+        (1, 65, True),
+        (0, 65, False),
+        (-200, 65, False),
+        (10**30, 200, True),
+        (1, _WIDE_LENGTH - 1, True),
+        (1, _WIDE_LENGTH, False),
+        ((_WIDE_SPAN - 1) * _WIDE_LENGTH + 1, _WIDE_LENGTH, True),
+    ], ids=["short", "long", "from-zero", "negative", "huge-values", "wide-minus-one", "wide",
+            "narrow-past-the-span"])
+    def test_route(self, monkeypatch, lo, n, decimal):
+        """A long narrow product goes through the Decimal tree, with leaves
+        from _product and never the traced product_range; every other
+        product is one product_range call."""
+        calls = []
+        real = product_range
+        monkeypatch.setattr(gaps, "product_range", lambda *a: calls.append(a) or real(*a))
+        got = gaps._printed_product_between(lo - 1, lo + n)
+        assert isinstance(got, Decimal) == decimal
+        assert calls == ([] if decimal else [(lo, lo + n)])
+
 
 # With _TOOM_BITS at 64 a factor of a few hundred bits takes Toom-3 two
 # or three levels deep, so the recursion and the interpolation run fast.
@@ -417,6 +538,19 @@ class TestRunMemory:
         finally:
             tracemalloc.stop()
         assert len(result) >= 19600
+        assert peak < kept + 16 * 2**10
+
+    def test_fold_terms_are_the_walks_slice(self):
+        """terms hands on the fresh slice of the cached walk without a copy,
+        which doubled the peak (625 KiB for this 313 KiB list)."""
+        terms(Fold(), 0, 40000)  # grow the cached walk before measuring
+        tracemalloc.start()
+        try:
+            result = terms(Fold(), 0, 40000)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result) == 40000
         assert peak < kept + 16 * 2**10
 
 
