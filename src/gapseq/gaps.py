@@ -135,12 +135,15 @@ def gap_product(spec: SeqSpec, n: int) -> int:
 # crossover table (README.md, "Performance").
 _WIDE_LENGTH = 2**14
 _WIDE_SPAN = 8
+# At most _LEAF integers are one ``math.perm``, a running product on
+# Python 3.10, so the balanced split stops there.
+_LEAF = 64
 
 
 def product_range(lo: int, hi: int) -> int:
     """Product of the integers in [lo, hi); 1 when empty.
 
-    A range of at most 64 integers is one ``math.perm`` (hi-1)!/(lo-1)!,
+    A range of at most _LEAF integers is one ``math.perm`` (hi-1)!/(lo-1)!,
     with the sign of (-1)**n for a range below 0, and a range that
     contains 0 is 0 without a multiplication. Longer ranges are split in
     half so partial products stay balanced in size, which is much faster
@@ -156,7 +159,7 @@ def product_range(lo: int, hi: int) -> int:
         return 1
     if lo <= 0 < hi:
         return 0
-    if n <= 64:
+    if n <= _LEAF:
         if lo > 0:
             return perm(hi - 1, n)
         p = perm(-lo, n)
@@ -222,9 +225,9 @@ def _product(values: Sequence[int], lo: int, hi: int) -> int:
     """Product of values[lo:hi], split in half so that partial products
     stay balanced in size; each merge goes through ``_mul``, so the long
     merges near the root are Toom-3 products. A leaf over a range of
-    positive integers is one ``math.perm``; a running product on Python
-    3.10, so the split stays above 64 values."""
-    if hi - lo <= 64:
+    positive integers is one ``math.perm``, so the split stays above
+    _LEAF values."""
+    if hi - lo <= _LEAF:
         if isinstance(values, range) and values.start > 0:
             return perm(values[hi - 1], hi - lo)
         return prod(values[lo:hi])
@@ -238,7 +241,7 @@ def _printed_product_between(a: int, b: int) -> int | Decimal:
     is linear where an int's is quadratic; any other as the int of
     ``product_range``."""
     lo, hi = a + 1, b
-    if hi - lo <= 64 or lo <= 0 or _is_wide(lo, hi):
+    if hi - lo <= _LEAF or lo <= 0 or _is_wide(lo, hi):
         return product_range(lo, hi)
     with exact():
         return _decimal_product(range(lo, hi), 0, hi - lo)

@@ -193,7 +193,8 @@ def decimal_terms(spec: SeqSpec, n0: int, count: int) -> list:
     other family returns the ints of ``terms``, whose values stay short.
     """
     with exact():  # the Decimal run steps as the list reads it
-        return list(_run(spec, n0, count, to_decimal))
+        run = _run(spec, n0, count, to_decimal)
+        return run if isinstance(run, list) else list(run)
 
 
 def _run(spec: SeqSpec, n0: int, count: int, lift: Callable[[int], N]) -> Iterable:
@@ -201,7 +202,7 @@ def _run(spec: SeqSpec, n0: int, count: int, lift: Callable[[int], N]) -> Iterab
     are checked: the one family dispatch. lift maps the Horadam and geometric
     seeds to the number type their run steps on; read a Decimal run under
     ``exact()``. Only the fold walk comes as a list, a fresh slice that
-    ``terms`` returns as it is."""
+    ``terms`` and ``decimal_terms`` return as it is."""
     if n0 < 0:
         raise _index_error(n0)
     if _check_count(count) == 0:

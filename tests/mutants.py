@@ -19,7 +19,7 @@ most are thresholds that change speed only.
 
 Every mutant runs in its own pytest process, one at a time, in a copy of
 ``src``, ``tests`` and ``bench`` in a temporary directory, so the checkout is never
-changed; ``--max-mb`` caps each process's address space. It needs only
+changed, with its address space capped at ``_MAX_MB``. It needs only
 the standard library (pytest runs the tests it picks) and is not part of
 the tier-1 suite: it takes minutes. Exit 0 when no survivor is
 unexplained, 1 otherwise.
@@ -45,6 +45,9 @@ _GAPS_TESTS = ("test_gaps.py", "test_bulk_tables.py", "test_combinatorics.py",
                "test_cli_oracles.py")
 _PRINTED_TESTS = ("test_gaps.py", "test_cli.py", "test_cli_corpus.py", "test_cli_oracles.py")
 
+# Address space of each pytest process, so a runaway mutant fails alone.
+_MAX_MB = 2048
+
 # (module under src/gapseq, function name, test files that can see it),
 # the files that fail fastest first.
 TARGETS = (
@@ -58,11 +61,9 @@ TARGETS = (
 # Survivors that are explained, by mutant name (see --list).
 ALLOWED = {
     "product_range: `n <= 0` LtE->Lt": "equivalent: an empty range's perm(x, 0) is 1",
-    "product_range: `n <= 64` 64->65": "speed only: threshold",
     "product_range: `lo > 0` Gt->GtE": "equivalent: a range from 0 has returned 0",
     "_is_wide: `0 < lo` Lt->LtE": "equivalent: no caller passes lo = 0",
-    "_product: `hi - lo <= 64` LtE->Lt": "speed only: threshold",
-    "_product: `hi - lo <= 64` 64->65": "speed only: threshold",
+    "_product: `hi - lo <= _LEAF` LtE->Lt": "speed only: threshold",
     "_product: `values.start > 0` Gt->GtE": "equivalent: perm is exact on a range from 0",
     "_decimal_product: `(hi - lo) * values[hi - 1].bit_length() <= _DIRECT_BITS` LtE->Lt":
         "speed only: threshold",
@@ -137,20 +138,18 @@ def mutants(only: set[str] | None = None) -> list[tuple[str, str, str, tuple[str
     return found
 
 
-def _limit(max_mb: int):
-    def set_limit() -> None:
-        size = max_mb * 2**20
-        resource.setrlimit(resource.RLIMIT_AS, (size, size))
-    return set_limit
+def _limit() -> None:
+    size = _MAX_MB * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (size, size))
 
 
-def _pytest(work: Path, tests: tuple[str, ...], timeout: float, max_mb: int) -> tuple[str, str]:
+def _pytest(work: Path, tests: tuple[str, ...], timeout: float) -> tuple[str, str]:
     """("passed", "failed" or "timeout", the end of pytest's output)."""
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
             *(f"tests/{t}" for t in tests)]
     try:
         done = subprocess.run(argv, cwd=work, capture_output=True, text=True, timeout=timeout,
-                              preexec_fn=_limit(max_mb))
+                              preexec_fn=_limit)
     except subprocess.TimeoutExpired:
         return "timeout", ""
     return "passed" if done.returncode == 0 else "failed", done.stdout[-2000:]
@@ -160,7 +159,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", nargs="+", metavar="FUNCTION", help="target function names")
     parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    parser.add_argument("--max-mb", type=int, default=2048, help="address space per test run")
     args = parser.parse_args(argv)
     found = mutants(set(args.only) if args.only else None)
     if args.list:
@@ -177,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copy(ROOT / "pyproject.toml", work)
         files = sorted({t for *_, tests in found for t in tests})
         t0 = time.perf_counter()
-        outcome, output = _pytest(work, tuple(files), 3600, args.max_mb)
+        outcome, output = _pytest(work, tuple(files), 3600)
         if outcome != "passed":
             print(f"{output}\nmutants: the unmutated tests fail; nothing to measure",
                   file=sys.stderr)
@@ -189,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
             original = path.read_text()
             path.write_text(source)
             try:
-                outcome, _ = _pytest(work, tests, timeout, args.max_mb)
+                outcome, _ = _pytest(work, tests, timeout)
             finally:
                 path.write_text(original)
             if outcome != "passed":

@@ -42,6 +42,7 @@ from gapseq.sequences import (
     Linear,
     Polynomial,
     Primes,
+    decimal_terms,
     term,
     terms,
 )
@@ -540,17 +541,19 @@ class TestRunMemory:
         assert len(result) >= 19600
         assert peak < kept + 16 * 2**10
 
-    def test_fold_terms_are_the_walks_slice(self):
-        """terms hands on the fresh slice of the cached walk without a copy,
-        which doubled the peak (625 KiB for this 313 KiB list)."""
-        terms(Fold(), 0, 40000)  # grow the cached walk before measuring
+    @pytest.mark.parametrize("make", [terms, decimal_terms], ids=["terms", "decimal-terms"])
+    def test_fold_terms_are_the_walks_slice(self, make):
+        """terms, and decimal_terms that prints ``terms --spec fold``, hand
+        on the fresh slice of the cached walk without a copy, which doubled
+        the peak (625 KiB for this 313 KiB list)."""
+        make(Fold(), 0, 40000)  # grow the cached walk before measuring
         tracemalloc.start()
         try:
-            result = terms(Fold(), 0, 40000)
+            result = make(Fold(), 0, 40000)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(result) == 40000
+        assert result == terms(Fold(), 0, 40000)
         assert peak < kept + 16 * 2**10
 
 
