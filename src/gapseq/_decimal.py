@@ -10,11 +10,13 @@ multiplies long narrow gap products as Decimals, over int leaves of
 about _DIRECT_BITS bits that ``to_decimal`` lifts; libmpdec multiplies
 huge Decimals by a number-theoretic transform.
 
-Every operation runs under one exact context, entered only through
-``exact()``, so a caller's own decimal context never changes. Any
-rounding raises instead of losing digits. Only integer operations are
-meant to run under it: +, -, *, an exact // and unary plus. A true
-division that does not terminate would try to compute MAX_PREC digits.
+Every operation runs under one exact context, so a caller's own decimal
+context never changes: ``to_decimal`` and the printed runs under
+``exact()``, which the CLI enters once around a subcommand while it
+writes them, and the gap-product tree through ``_CONTEXT.multiply``. Any
+rounding raises instead of losing digits. Only integer operations are meant to
+run under it: +, -, *, an exact // and unary plus. A true division that
+does not terminate would try to compute MAX_PREC digits.
 
 ``int_to_str``, ``str_to_int`` and ``show`` are exact and subquadratic
 under any int/str digit limit (4300 digits by default), which they never

@@ -15,10 +15,12 @@ exact Decimal runs (``decimal_terms``, ``decimal_gap_sequence``,
 ``decimal_expansion``): their values grow exponentially, and ``str`` of
 a Decimal is linear where an int's is quadratic. ``gapprod`` prints its
 long narrow products as Decimal product trees
-(``gaps._printed_product_between``). Indexed output goes out
-in writes of about 64 KiB, so no output is held whole. Through
-``_decimal.show`` and ``_json``, output is exact under any int/str digit
-limit, which gapseq never changes; command-line numbers stay within it.
+(``gaps._printed_product_between``). ``run`` calls the subcommand in one
+``exact()`` block, and each run goes to the writer as an iterator, written
+in batches of about 64 KiB, so no output and no list of values is held
+whole. Through ``_decimal.show`` and ``_json``, output is exact under any
+int/str digit limit, which gapseq never changes; command-line numbers
+stay within it.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ from fractions import Fraction
 from itertools import islice
 
 from . import oeis, tables
-from ._decimal import digit_limit, show, str_suits
+from ._decimal import digit_limit, exact, show, str_suits
 from ._record import as_dict
 from .combinatorics import fc_identity_sides, fuss_catalan, raney, raney_identity_sides
 from .gaps import (
+    _gaps,
     _printed_product_between,
     decimal_gap_sequence,
     gap_product_between,
@@ -96,10 +99,9 @@ _GRAMMAR = (
 def parse_spec(text: str) -> SeqSpec:
     """Parse a sequence spec string; see _GRAMMAR for the accepted forms.
     A SpecError ends its message with the position of the fault in text,
-    and quotes at most the first 40 characters of text."""
+    which it quotes through _quoted."""
     def fail(message: object, pos: int) -> SpecError:
-        shown = f"{text[:40]!r}... of {len(text)} characters" if len(text) > 40 else repr(text)
-        return SpecError(f"{message} (at position {pos} in {shown})")
+        return SpecError(f"{message} (at position {pos} in {_quoted(text)})")
 
     bare = text.strip()
     if bare in _ALIASES:
@@ -127,6 +129,11 @@ def parse_spec(text: str) -> SeqSpec:
         raise fail(exc, base) from exc
 
 
+def _quoted(text: str, quote: Callable[[str], str] = repr) -> str:
+    """quote(text), or of its first 40 characters and its length if longer."""
+    return f"{quote(text[:40])}... of {len(text)} characters" if len(text) > 40 else quote(text)
+
+
 # ---------------------------------------------------------------------------
 # command-line numbers and argparse types: every number, spec tokens included,
 # goes through _integer or _rational; a fault is an ArgumentTypeError (exit 2)
@@ -143,7 +150,7 @@ def _refusal(noun: str, text: str, digits: int) -> argparse.ArgumentTypeError:
     if _too_long(digits):
         message = f"number too long: {digits} digits, past the int/str digit limit"
         return argparse.ArgumentTypeError(message)
-    return argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+    return argparse.ArgumentTypeError(f"expected {noun}, got {_quoted(text)}")
 
 
 def _integer(text: str) -> int:
@@ -183,7 +190,7 @@ def _at_least(low: int) -> Callable[[str], int]:
     """An argparse type: an integer >= low."""
     def parse(text: str) -> int:
         if (value := _integer(text)) < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {_quoted(text, str)}")
         return value
 
     return parse
@@ -203,7 +210,7 @@ def _numbers(convert: Callable[[str], Value], count: int | None = None) -> Calla
 
 def _a_number(text: str) -> str:
     if not oeis.A_NUMBER.match(text):
-        raise argparse.ArgumentTypeError(f"expected 'A' + 6 digits, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected 'A' + 6 digits, got {_quoted(text)}")
     return text
 
 
@@ -282,15 +289,13 @@ def _emit(ns: argparse.Namespace, doc: object, text: str) -> None:
 
 
 def _cmd_terms(ns: argparse.Namespace) -> None:
-    spec = parse_spec(ns.spec)
-    values = decimal_terms(spec, ns.start, ns.count)
+    values = decimal_terms(parse_spec(ns.spec), ns.start, ns.count)
     _emit_indexed(ns, {"command": "terms", "spec": ns.spec}, values, ns.start)
 
 
 def _cmd_gaps(ns: argparse.Namespace) -> None:
-    spec = parse_spec(ns.spec)
     write = sys.stdout.write
-    spans = enumerate(gap_sequence(gap_span_between, spec, ns.count))
+    spans = enumerate(_gaps(gap_span_between, parse_spec(ns.spec), ns.count))
     if ns.format == "json":
         # The bytes of _json of the whole document, written row by row.
         write(_json({"command": "gaps", "spec": ns.spec})[:-1] + ', "gaps": [')
@@ -319,14 +324,12 @@ _GAP_SUMS: dict[str, Callable[[int, int], int]] = {
 
 
 def _cmd_gapsum(ns: argparse.Namespace) -> None:
-    spec = parse_spec(ns.spec)
-    values = decimal_gap_sequence(_GAP_SUMS[ns.kind], spec, ns.count)
+    values = decimal_gap_sequence(_GAP_SUMS[ns.kind], parse_spec(ns.spec), ns.count)
     _emit_indexed(ns, {"command": "gapsum", "spec": ns.spec, "kind": ns.kind}, values)
 
 
 def _cmd_gapprod(ns: argparse.Namespace) -> None:
-    spec = parse_spec(ns.spec)
-    values = gap_sequence(_printed_product_between, spec, ns.count)
+    values = _gaps(_printed_product_between, parse_spec(ns.spec), ns.count)
     _emit_indexed(ns, {"command": "gapprod", "spec": ns.spec}, values)
 
 
@@ -533,7 +536,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 0 after help and 2 on a usage error
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = _COMMANDS[ns.command][1](ns) or 0
+        with exact():  # the Decimal runs step as the writer reads them
+            code = _COMMANDS[ns.command][1](ns) or 0
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -4,9 +4,9 @@ The n-th gap is the run of consecutive integers strictly between a_n and
 a_(n+1). Three sum variants exist: ``gap_sum`` clamps to 0 on empty gaps,
 ``gap_sum_signed`` evaluates the closed form without clamping (negative at
 descents), and ``gap_sum_abs`` sums a_n + j over j = 1 .. |a_(n+1)-a_n-1|.
-``gap_sequence`` computes any of them for n = 0 .. count-1 in one pass;
-``decimal_gap_sequence`` gives the same sums as exact Decimals to print,
-and ``_printed_product_between`` the gap products.
+``gap_sequence`` lists any of them for n = 0 .. count-1 from ``_gaps``,
+which the CLI writes as it comes; ``decimal_gap_sequence`` gives the sums
+as exact Decimals to print, and ``_printed_product_between`` the products.
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ from collections.abc import Callable, Iterator, Sequence
 from itertools import pairwise, starmap
 from decimal import Decimal
 from math import comb, isqrt, perm, prod
+from operator import pos
 
-from ._decimal import _DIRECT_BITS, exact, show, to_decimal
+from ._decimal import _CONTEXT, _DIRECT_BITS, show, to_decimal
 from ._record import record
-from .sequences import SeqSpec, _check_count, _index_error, _run, _sieve, terms
+from .sequences import N, SeqSpec, _check_count, _index_error, _run, _sieve, terms
 
 
 @record
@@ -81,23 +82,23 @@ def gap_product_between(a: int, b: int) -> int:
     return product_range(a + 1, b)
 
 
+def _gaps(stat: Callable, spec: SeqSpec, count: int, lift: Callable = int) -> Iterator:
+    """stat(a_n, a_(n+1)) for n = 0 .. count-1, pairing the terms of one run
+    (``_run`` with lift) as it makes them; the arguments are checked at the call."""
+    return starmap(stat, pairwise(_run(spec, 0, _check_count(count) + 1, lift)))
+
+
 def gap_sequence(stat: Callable[[int, int], object], spec: SeqSpec, count: int) -> list:
-    """stat(a_n, a_(n+1)) for n = 0 .. count-1, pairing the terms of one run as they come."""
-    return list(starmap(stat, pairwise(_run(spec, 0, _check_count(count) + 1, int))))
+    """stat(a_n, a_(n+1)) for n = 0 .. count-1: the list of ``_gaps``."""
+    return list(_gaps(stat, spec, count))
 
 
-def decimal_gap_sequence(stat: Callable[[int, int], int], spec: SeqSpec, count: int) -> list:
-    """The values of ``gap_sequence(stat, spec, count)``, ready to print,
-    for a stat of plain arithmetic (the gap sums).
-
-    stat runs on the Decimal run of ``decimal_terms``, so the sums of Horadam
-    and geometric terms are exact Decimals, whose ``str`` is linear where an
-    int's is quadratic. The unary plus turns a Decimal negative zero, as in
-    the signed sum 0 * -97 // 2, into 0.
-    """
-    with exact():
-        run = _run(spec, 0, _check_count(count) + 1, to_decimal)
-        return [+v for v in starmap(stat, pairwise(run))]
+def decimal_gap_sequence(stat: Callable[[int, int], N], spec: SeqSpec, count: int) -> Iterator:
+    """The values of ``gap_sequence(stat, spec, count)``, to print under
+    ``exact()``, for a stat of plain arithmetic (the gap sums). stat runs
+    on the Decimal run of ``decimal_terms``, and the unary plus turns a
+    negative zero, as in the signed sum 0 * -97 // 2, into 0."""
+    return map(pos, _gaps(stat, spec, count, to_decimal))
 
 
 def gap(spec: SeqSpec, n: int) -> Gap:
@@ -239,23 +240,23 @@ def _printed_product_between(a: int, b: int) -> int | Decimal:
     """``gap_product_between(a, b)``, ready to print: a long narrow
     product of positive integers comes as an exact Decimal, whose ``str``
     is linear where an int's is quadratic; any other as the int of
-    ``product_range``."""
+    ``product_range``. Exact under any decimal context."""
     lo, hi = a + 1, b
     if hi - lo <= _LEAF or lo <= 0 or _is_wide(lo, hi):
         return product_range(lo, hi)
-    with exact():
-        return _decimal_product(range(lo, hi), 0, hi - lo)
+    return _decimal_product(range(lo, hi), 0, hi - lo)
 
 
 def _decimal_product(values: range, lo: int, hi: int) -> Decimal:
     """Product of values[lo:hi] for a range of positive integers, as a
     Decimal: split in half down to leaves of about _DIRECT_BITS bits (or
     one value), whose int products ``to_decimal`` lifts, and multiplied
-    as Decimals above them. Run under ``exact()``."""
+    as Decimals above them in the exact context, whatever the caller's."""
     if hi - lo == 1 or (hi - lo) * values[hi - 1].bit_length() <= _DIRECT_BITS:
         return to_decimal(_product(values, lo, hi))
     mid = (lo + hi) // 2
-    return _decimal_product(values, lo, mid) * _decimal_product(values, mid, hi)
+    low, high = _decimal_product(values, lo, mid), _decimal_product(values, mid, hi)
+    return _CONTEXT.multiply(low, high)
 
 
 # Factors of at least _TOOM_BITS bits whose lengths are within a factor

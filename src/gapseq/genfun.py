@@ -19,12 +19,12 @@ most ``ORDER``, and the builder feeds more terms than determine it.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from ._decimal import exact, show, to_decimal
+from ._decimal import show, to_decimal
 from ._record import record
 from .gaps import gap_sequence, gap_sum_signed_between
 from .sequences import Horadam, N, _check_count
@@ -180,22 +180,19 @@ def _scaled_run(nums: Sequence[N], weights: Sequence[N], q: int, count: int) -> 
         power *= q
 
 
-def decimal_expansion(f: RatFunc, count: int) -> list:
+def decimal_expansion(f: RatFunc, count: int) -> Iterable:
     """The values of ``f.expand(count)``, ready to print.
 
     At scale 1 (q = L = 1 in ``expand``: every Horadam generating
     function, and integer num/den with den(0) = 1) the coefficients are
     the integers u_i, stepped on exact Decimals, whose ``str`` is linear
-    where an int's is quadratic. At any other scale this is
-    ``f.expand(count)``, with its Fractions.
+    where an int's is quadratic: a run to read under ``exact()``. At any
+    other scale this is ``f.expand(count)``, with its Fractions.
     """
     q, big_l, nums, weights = _scaled_recurrence(f.num.coeffs, f.den.coeffs, count)
     if q != 1 or big_l != 1:
         return f.expand(count)
-    with exact():
-        return list(_scaled_run(
-            [to_decimal(c) for c in nums], [to_decimal(w) for w in weights], 1, count
-        ))
+    return _scaled_run(list(map(to_decimal, nums)), list(map(to_decimal, weights)), 1, count)
 
 
 def ratfunc(num: Sequence[Coeff], den: Sequence[Coeff] = (1,)) -> RatFunc:

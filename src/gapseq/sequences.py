@@ -5,9 +5,9 @@ describing one family (linear, geometric, polynomial, binomial, Horadam
 recurrence, primes, the paper-folding walk, or an explicit list).
 ``terms`` evaluates a run of a spec without ever leaving exact integer
 arithmetic, and ``term`` is a run of one.
-``decimal_terms`` gives the same values for printing: one dispatch serves
-all three, and lifts the long-growing Horadam and geometric seeds to exact
-Decimals, whose ``str`` is linear where an int's is quadratic.
+``decimal_terms`` gives the same run to print under ``exact()``: one
+dispatch serves all three, and lifts the long-growing Horadam and geometric
+seeds to exact Decimals, whose ``str`` is linear where an int's is quadratic.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import accumulate, compress, islice, repeat
 from math import comb, isqrt, log
 from operator import index
 
-from ._decimal import exact, show, to_decimal
+from ._decimal import show, to_decimal
 from ._record import record
 
 N = int | Decimal  # an int, or an exact Decimal integer
@@ -184,25 +184,20 @@ def terms(spec: SeqSpec, n0: int, count: int) -> list[int]:
     return run if isinstance(run, list) else list(run)
 
 
-def decimal_terms(spec: SeqSpec, n0: int, count: int) -> list:
-    """The values of ``terms(spec, n0, count)``, ready to print.
-
-    The same dispatch and loops as ``terms``, with the Horadam and
-    geometric seeds (the O(log n0) Horadam jump, k**n0) lifted to exact
-    Decimals in subquadratic time, so those runs step on Decimals. Every
-    other family returns the ints of ``terms``, whose values stay short.
-    """
-    with exact():  # the Decimal run steps as the list reads it
-        run = _run(spec, n0, count, to_decimal)
-        return run if isinstance(run, list) else list(run)
+def decimal_terms(spec: SeqSpec, n0: int, count: int) -> Iterable:
+    """The run of ``terms(spec, n0, count)``, checked, to print under
+    ``exact()``: the Horadam and geometric seeds (the O(log n0) Horadam jump,
+    k**n0) are lifted to exact Decimals in subquadratic time, so those runs
+    step on Decimals; every other family gives the short ints of ``terms``."""
+    return _run(spec, n0, count, to_decimal)
 
 
 def _run(spec: SeqSpec, n0: int, count: int, lift: Callable[[int], N]) -> Iterable:
     """a_n0 .. a_(n0+count-1), each made as it is read, once the arguments
     are checked: the one family dispatch. lift maps the Horadam and geometric
-    seeds to the number type their run steps on; read a Decimal run under
-    ``exact()``. Only the fold walk comes as a list, a fresh slice that
-    ``terms`` and ``decimal_terms`` return as it is."""
+    seeds to the number type their run steps on; the CLI writes a Decimal
+    run as it reads it under ``exact()``. Only the fold walk comes as a
+    list, a fresh slice that ``terms`` and ``decimal_terms`` return as is."""
     if n0 < 0:
         raise _index_error(n0)
     if _check_count(count) == 0:

@@ -55,6 +55,7 @@ EDGE_SPECS = (
 HORADAMS = ("1,1,1,1", "0,1,1,2", "2,1,1,1", "0,1,2,1", "3,-2,1,-1")
 LONG = "9" * 600  # 600 digits: parses under every limit
 TOO_LONG = "7" * 700  # parses under 4300 and 0 only
+WORD = "x" * 5000  # no number at all
 
 
 def _spec_argvs() -> list[list[str]]:
@@ -217,6 +218,11 @@ def _other_argvs() -> list[list[str]]:
          "--bfile", f"{FIXTURES}/b109454.txt", "--format", "csv"],
         ["check-identity"],
         ["terms", "--spec", "fib", "--count", "3", "extra"],
+        # Long command-line text, quoted to its first 40 characters in every message.
+        ["terms", "--spec", "fib", "--count", WORD],
+        ["terms", "--spec", f"linear:{WORD},1", "--count", "3"],
+        ["check-oeis", "--spec", "fib", "--kind", "terms", "--id", "A" + WORD, "--fetch"],
+        ["terms", "--spec", "fib", "--count", "-" + "9" * 3000],
     ]
 
 

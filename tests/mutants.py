@@ -44,6 +44,10 @@ _GAPS_TESTS = ("test_gaps.py", "test_bulk_tables.py", "test_combinatorics.py",
                "test_acceptance.py", "test_kernel.py", "test_cli.py", "test_cli_corpus.py",
                "test_cli_oracles.py")
 _PRINTED_TESTS = ("test_gaps.py", "test_cli.py", "test_cli_corpus.py", "test_cli_oracles.py")
+_RUN_TESTS = ("test_gaps.py", "test_decimal_runs.py", "test_cli.py", "test_cli_corpus.py",
+              "test_cli_oracles.py")
+_WRITER_TESTS = ("test_decimal_runs.py", "test_cli.py", "test_cli_corpus.py",
+                 "test_cli_oracles.py")
 
 # Address space of each pytest process, so a runaway mutant fails alone.
 _MAX_MB = 2048
@@ -56,6 +60,8 @@ TARGETS = (
     ("gaps.py", "_product", _GAPS_TESTS),
     ("gaps.py", "_printed_product_between", _PRINTED_TESTS),
     ("gaps.py", "_decimal_product", _PRINTED_TESTS),
+    ("gaps.py", "_gaps", _RUN_TESTS),
+    ("cli.py", "_write_joined", _WRITER_TESTS),
 )
 
 # Survivors that are explained, by mutant name (see --list).
@@ -70,6 +76,9 @@ ALLOWED = {
     "_decimal_product: `(hi - lo) * values[hi - 1].bit_length()` Sub->Add":
         "speed only: smaller leaves",
     "_decimal_product: `hi - 1` 1->2": "speed only: leaf size from the next-to-last value",
+    '_write_joined: `64, ""` 64->65': "speed only: the first batch's size",
+    "_write_joined: `max(1, min(2 * batch, batch * _WRITE_CHARS // len(text)))` 1->2":
+        "memory only: two values a write where one value's text passes _WRITE_CHARS",
 }
 
 _SWAPS = {

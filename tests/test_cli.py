@@ -730,6 +730,7 @@ class TestDigitLimit:
 
     TOO_LONG = "5" * 5000
     TOO_LONG_MESSAGE = "number too long: 5000 digits, past the int/str digit limit"
+    WORD = "x" * 5000
 
     @pytest.mark.parametrize("argv,err", [
         (["terms", "--spec", "linear:1," + TOO_LONG, "--count", "1"],
@@ -747,17 +748,34 @@ class TestDigitLimit:
         (["check-identity", "--fc", f"3,{TOO_LONG},4"],
          "gapseq check-identity: error: argument --fc: expected 2 comma-separated integers, "
          "got 3\n"),
-    ], ids=["spec-integer", "spec-exponent", "count", "fc", "num", "fc-count"])
+        (["terms", "--spec", "fib", "--count", WORD],
+         f"gapseq terms: error: argument --count: expected an integer, got '{WORD[:40]}'... "
+         "of 5000 characters\n"),
+        (["terms", "--spec", f"linear:{WORD},1", "--count", "3"],
+         f"gapseq: error: expected an integer, got '{WORD[:40]}'... of 5000 characters "
+         f"(at position 7 in 'linear:{WORD[:33]}'... of 5009 characters)\n"
+         f"gapseq: spec grammar: {cli._GRAMMAR}\n"),
+        (["check-oeis", "--spec", "fib", "--kind", "terms", "--id", "A" + WORD, "--fetch"],
+         f"gapseq check-oeis: error: argument --id: expected 'A' + 6 digits, got "
+         f"'A{WORD[:39]}'... of 5001 characters\n"),
+        (["terms", "--spec", "fib", "--count", "-" + "9" * 3000],
+         f"gapseq terms: error: argument --count: must be >= 0, got -{'9' * 39}... "
+         "of 3001 characters\n"),
+    ], ids=["spec-integer", "spec-exponent", "count", "fc", "num", "fc-count", "count-text",
+            "spec-text", "id", "count-negative"])
     @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="Python 3.10 has no int/str digit limit")
     def test_numbers_past_the_limit_name_the_fault(self, capsys, argv, err):
         """One message for a number too long, wherever it stands, that
         does not echo its digits: a spec is quoted up to 40 characters, and
-        a list of the wrong length by its count."""
+        a list of the wrong length by its count. Any other long text a
+        message echoes is quoted up to 40 characters too, so no line of the
+        message is long and none holds 100 characters of an argument."""
         with int_digit_limit(4300):
             assert run(argv) == 2
         got = capsys.readouterr().err
         assert got.endswith(err)
-        assert self.TOO_LONG[:100] not in got
+        assert max(len(line.encode()) for line in got.splitlines()) < 300
+        assert not any(a[i:i + 100] in got for a in argv for i in range(len(a) - 99))
 
     EXPONENT_ARGVS = [
         *(["terms", "--spec", f"poly:{c}", "--count", "1"]
@@ -931,6 +949,77 @@ class TestEmitIndexed:
         with int_digit_limit(4300):
             cli._write_joined(range(-5000, 5000), " ")
         assert capsys.readouterr().out == " ".join(map(str, range(-5000, 5000)))
+
+
+class ByteCounter:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestPrintedRunsStream:
+    """A printed run goes from the run to the writer as it is made: no list
+    of its values is built, so the peak does not grow with --count. The
+    primes and the fold walk read tables that grow by design, and are left out."""
+
+    # argv with N for the count, and the smaller count; each run at ten
+    # times it held 3.7 to 5.4 MiB more at its peak while it built a list.
+    CASES = [
+        (["terms", "--spec", "fib", "--count", "N"], 1000),
+        (["gapsum", "--spec", "linear:3,1", "--count", "N", "--format", "json"], 10000),
+        (["gapsum", "--spec", "geom:2,-50", "--signed", "--count", "N", "--format", "csv"], 500),
+        (["gapprod", "--spec", "linear:3,1", "--count", "N"], 10000),
+        (["gaps", "--spec", "binom:5,3", "--count", "N", "--format", "csv"], 3000),
+        (["expand", "--num", "1", "--den", "1,-1,-1", "--count", "N"], 1000),
+        (["gf", "--horadam", "1,1,1,1", "--expand", "N", "--format", "json"], 1000),
+    ]
+    # A few of the writer's batches of about 64 KiB of text.
+    MARGIN = 3 * 2**19
+
+    @staticmethod
+    def _peak(monkeypatch, argv, count):
+        monkeypatch.setattr(sys, "stdout", ByteCounter())
+        tracemalloc.start()
+        try:
+            assert run([str(count) if a == "N" else a for a in argv]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    @pytest.mark.parametrize("argv, n", CASES, ids=[" ".join(a[:3]) for a, _ in CASES])
+    def test_peak_does_not_grow_with_the_count(self, monkeypatch, argv, n):
+        self._peak(monkeypatch, argv, 10)  # the parser's imports and the caches, once
+        small = self._peak(monkeypatch, argv, n)
+        assert self._peak(monkeypatch, argv, 10 * n) < small + self.MARGIN
+
+    def test_fault_after_output_has_begun(self, capsys, monkeypatch):
+        """A MemoryError at gap 500, after the first batches are written,
+        still ends in the one error line and exit 1; what was written is a
+        prefix of the full output."""
+        argv = ["gapprod", "--spec", "linear:3,1", "--count", "100000"]
+        full = run_ok(capsys, argv)
+        real, gaps_made = cli._printed_product_between, []
+
+        def exhausted_at_gap_500(a, b):
+            if len(gaps_made) == 500:
+                raise MemoryError
+            gaps_made.append(a)
+            return real(a, b)
+
+        monkeypatch.setattr(cli, "_printed_product_between", exhausted_at_gap_500)
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert err == "gapseq: error: input too large: MemoryError\n"
+        assert out and full.startswith(out)
 
 
 class TestEntryPoint:

@@ -1,8 +1,9 @@
 """The exact Decimal runs the CLI prints from, pinned to the int path.
 
 ``decimal_terms``, ``decimal_gap_sequence`` and ``decimal_expansion``
-must give, value for value, the same text as ``terms``, ``gap_sequence``
-and ``RatFunc.expand``; the int functions are the reference.
+return runs that, read under ``exact()`` as the CLI reads them, must give,
+value for value, the same text as ``terms``, ``gap_sequence`` and
+``RatFunc.expand``; the int functions are the reference.
 """
 
 import decimal
@@ -45,6 +46,12 @@ def texts(values):
     """The builtin str of each value, as the reference, lifting the limit here only."""
     with int_digit_limit(0):
         return [str(v) for v in values]
+
+
+def read(run):
+    """The values of a run to print, read under the exact context as the CLI reads it."""
+    with exact():
+        return list(run)
 
 
 def bits_exactly(bits):
@@ -116,14 +123,14 @@ class TestDecimalTerms:
     @settings(max_examples=300, deadline=None)
     @given(horadams, starts, st.integers(0, 40))
     def test_horadam_matches_terms(self, spec, n0, count):
-        got = decimal_terms(spec, n0, count)
+        got = read(decimal_terms(spec, n0, count))
         assert texts(got) == texts(terms(spec, n0, count))
         assert all(isinstance(v, Decimal) for v in got)
 
     @settings(max_examples=200, deadline=None)
     @given(geometrics, starts, st.integers(0, 40))
     def test_geometric_matches_terms(self, spec, n0, count):
-        got = decimal_terms(spec, n0, count)
+        got = read(decimal_terms(spec, n0, count))
         assert texts(got) == texts(terms(spec, n0, count))
         assert all(isinstance(v, Decimal) for v in got)
 
@@ -132,7 +139,7 @@ class TestDecimalTerms:
 
     def test_other_families_are_terms(self):
         for spec in (Linear(3, 1), Primes()):
-            assert decimal_terms(spec, 5, 20) == terms(spec, 5, 20)
+            assert read(decimal_terms(spec, 5, 20)) == terms(spec, 5, 20)
 
     def test_errors_are_those_of_terms(self):
         with pytest.raises(IndexError):
@@ -145,7 +152,7 @@ class TestDecimalGapSums:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(horadams, geometrics), st.sampled_from(GAP_SUMS), st.integers(0, 60))
     def test_matches_gap_sequence(self, spec, stat, count):
-        got = decimal_gap_sequence(stat, spec, count)
+        got = read(decimal_gap_sequence(stat, spec, count))
         assert texts(got) == texts(gap_sequence(stat, spec, count))
         # A Decimal equals the int it denotes, so only the type shows that
         # the sums were taken on the Decimal run; the clamped sum of an
@@ -169,7 +176,7 @@ class TestDecimalExpansion:
            st.integers(0, 80))
     def test_integer_series_matches_expand(self, num, lead, den_rest, count):
         f = ratfunc(num, [lead, *den_rest])
-        assert texts(decimal_expansion(f, count)) == texts(f.expand(count))
+        assert texts(read(decimal_expansion(f, count))) == texts(f.expand(count))
 
     def test_scale_one_runs_on_decimal(self):
         got = decimal_expansion(ratfunc([1], [1, -1, -1]), 10)
@@ -182,7 +189,7 @@ class TestDecimalExpansion:
             f = horadam_gf(spec, kind)
         except ArithmeticError:  # degenerate seeds the builders reject
             return
-        assert texts(decimal_expansion(f, count)) == texts(f.expand(count))
+        assert texts(read(decimal_expansion(f, count))) == texts(f.expand(count))
 
     def test_other_scales_are_expand(self):
         for f in (ratfunc([1, 1], [3, 1]), ratfunc([Fraction(1, 2), 1], [1, -1])):
@@ -259,6 +266,16 @@ class TestChunkedWriter:
         assert "".join(writes) == " ".join(texts(terms(FIBONACCI, 0, 3000))) + "\n"
         assert len(writes) > 3
         assert max(map(len, writes)) <= 2 * cli._WRITE_CHARS
+
+    def test_writes_are_few(self, monkeypatch):
+        """After a ramp of a few short writes, each write carries about
+        _WRITE_CHARS of text, not a value or a few."""
+        writes = []
+        stream = io.StringIO()
+        stream.write = lambda s: writes.append(s) or len(s)
+        monkeypatch.setattr(cli.sys, "stdout", stream)
+        assert run(["terms", "--spec", "fib", "--count", "3000"]) == 0
+        assert len(writes) <= len("".join(writes)) // cli._WRITE_CHARS + 8
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_small_writes_give_the_same_bytes(self, capsys, monkeypatch, fmt):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapseq.gaps as gaps
-from gapseq._decimal import _DIRECT_BITS, show
+from gapseq._decimal import _DIRECT_BITS, exact, show
 from gapseq.gaps import (
     _WIDE_LENGTH,
     _WIDE_SPAN,
@@ -517,6 +517,12 @@ class TestMul:
         assert peak < 5 * size
 
 
+def _read_exact(run):
+    """The values of a run to print, listed under the exact context."""
+    with exact():
+        return list(run)
+
+
 class TestRunMemory:
     """A gap sequence pairs the terms of one run as the run makes them, and
     a polynomial run makes each level as the level above reads it, so each
@@ -526,7 +532,7 @@ class TestRunMemory:
 
     @pytest.mark.parametrize("call", [
         lambda: gap_sequence(gap_sum_between, Linear(7, 3), 57000),
-        lambda: decimal_gap_sequence(gap_sum_between, Linear(7, 3), 57000),
+        lambda: _read_exact(decimal_gap_sequence(gap_sum_between, Linear(7, 3), 57000)),
         lambda: gap_sequence(gap_span_between, Binomial(3, 3), 19600),
         lambda: gap_sequence(gap_product_between, Linear(5, 20), 26000),
         lambda: terms(Polynomial((3, Fraction(5, 2), Fraction(7, 2))), 0, 20000),
