@@ -21,7 +21,8 @@ does not terminate would try to compute MAX_PREC digits.
 ``int_to_str``, ``str_to_int`` and ``show`` are exact and subquadratic
 under any int/str digit limit (4300 digits by default), which they never
 change: past it they hand the builtins pieces under 640 digits, the
-least limit.
+least limit. A message quotes a number through ``_shown``, which cuts
+it to 40 characters as ``_quoted`` cuts any other text.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import decimal
 import re
 import sys
+from collections.abc import Callable
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
@@ -112,6 +114,17 @@ def show(v: object) -> str:
         whole = int_to_str(v.numerator)
         return whole if v.denominator == 1 else f"{whole}/{int_to_str(v.denominator)}"
     return str(v)
+
+
+def _quoted(text: str, quote: Callable[[str], str] = repr) -> str:
+    """quote(text), or of its first 40 characters and its length if longer:
+    the one rule for echoing outside text or a number in a message."""
+    return f"{quote(text[:40])}... of {len(text)} characters" if len(text) > 40 else quote(text)
+
+
+def _shown(v: object) -> str:
+    """show(v) for a message, cut by _quoted's rule."""
+    return _quoted(show(v), str)
 
 
 def str_suits(values: list) -> bool:

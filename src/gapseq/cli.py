@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import oeis, tables
-from ._decimal import digit_limit, exact, show, str_suits
+from ._decimal import _quoted, digit_limit, exact, show, str_suits
 from ._record import as_dict
 from .combinatorics import fc_identity_sides, fuss_catalan, raney, raney_identity_sides
 from .gaps import (
@@ -99,16 +99,19 @@ _GRAMMAR = (
 def parse_spec(text: str) -> SeqSpec:
     """Parse a sequence spec string; see _GRAMMAR for the accepted forms.
     A SpecError ends its message with the position of the fault in text,
-    which it quotes through _quoted."""
+    which it quotes through _quoted, or names by its length alone when
+    the message has cut a long part of it by that rule already."""
     def fail(message: object, pos: int) -> SpecError:
-        return SpecError(f"{message} (at position {pos} in {_quoted(text)})")
+        said = str(message)
+        where = f"a spec of {len(text)} characters" if "... of " in said else _quoted(text)
+        return SpecError(f"{said} (at position {pos} in {where})")
 
     bare = text.strip()
     if bare in _ALIASES:
         return _ALIASES[bare]
     name, sep, rest = bare.partition(":")
     if not sep or name not in _FAMILIES:
-        raise fail(f"unknown sequence family {name!r}", 0)
+        raise fail(f"unknown sequence family {_quoted(name)}", 0)
     family, arities, convert = _FAMILIES[name]
     base = text.index(":") + 1
     if name == "poly" and not rest:
@@ -127,11 +130,6 @@ def parse_spec(text: str) -> SeqSpec:
         return family(*values) if arities is not None else family(values)
     except SpecError as exc:
         raise fail(exc, base) from exc
-
-
-def _quoted(text: str, quote: Callable[[str], str] = repr) -> str:
-    """quote(text), or of its first 40 characters and its length if longer."""
-    return f"{quote(text[:40])}... of {len(text)} characters" if len(text) > 40 else quote(text)
 
 
 # ---------------------------------------------------------------------------

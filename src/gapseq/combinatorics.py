@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from ._decimal import show
+from ._decimal import _shown
 from .gaps import product_range
 from .sequences import _index_error
 
@@ -14,7 +14,7 @@ from .sequences import _index_error
 def binom(n: int, k: int) -> int:
     """C(n, k); 0 outside 0 <= k <= n, and a ValueError for n < 0."""
     if n < 0:
-        raise ValueError(f"upper index must be >= 0, got {show(n)}")
+        raise ValueError(f"upper index must be >= 0, got {_shown(n)}")
     return comb(n, k) if k >= 0 else 0
 
 
@@ -35,7 +35,7 @@ def raney(p: int, r: int, n: int) -> Fraction:
     that need an integer convert with ``as_integer``.
     """
     if r < 1:
-        raise ValueError(f"raney weight r must be >= 1, got {show(r)}")
+        raise ValueError(f"raney weight r must be >= 1, got {_shown(r)}")
     if p < 0 or n < 0:
         raise ValueError("raney p and n must be >= 0")
     return Fraction(r, p * n + r) * binom(p * n + r, n)
@@ -44,16 +44,16 @@ def raney(p: int, r: int, n: int) -> Fraction:
 def as_integer(x: Fraction) -> int:
     """The integer a rational denotes; raises if it is not whole."""
     if x.denominator != 1:
-        raise ValueError(f"{show(x)} is not an integer")
+        raise ValueError(f"{_shown(x)} is not an integer")
     return x.numerator
 
 
 def gap_product_closed(k: int, r: int, n: int) -> int:
     """Gap product of a_n = k*n + r: the k-1 integers above k*n + r multiplied out."""
     if k < 1:
-        raise ValueError(f"slope k must be >= 1, got {show(k)}")
+        raise ValueError(f"slope k must be >= 1, got {_shown(k)}")
     if r < 1:
-        raise ValueError(f"intercept r must be >= 1, got {show(r)}")
+        raise ValueError(f"intercept r must be >= 1, got {_shown(r)}")
     if n < 0:
         raise _index_error(n)
     base = k * n + r

@@ -5,7 +5,7 @@ from __future__ import annotations
 from _thread import allocate_lock
 from itertools import accumulate
 
-from ._decimal import show
+from ._decimal import _shown
 from .gaps import gap_sum_abs
 from .sequences import Fold, SeqSpec, terms
 
@@ -16,7 +16,7 @@ def fold(n: int) -> int:
     fold(4n) = 0, fold(4n+2) = 1, fold(2n+1) = fold(n).
     """
     if n < 0:
-        raise IndexError(f"fold index must be >= 0, got {show(n)}")
+        raise IndexError(f"fold index must be >= 0, got {_shown(n)}")
     while n & 1:
         n >>= 1
     return 1 if n % 4 == 2 else 0
@@ -29,7 +29,7 @@ _walk: list[int] = [1]
 def a088748(n: int) -> int:
     """a(0) = 1, a(n+1) = a(n) + 1 - 2*fold(n); steps are always +1 or -1."""
     if n < 0:
-        raise IndexError(f"walk index must be >= 0, got {show(n)}")
+        raise IndexError(f"walk index must be >= 0, got {_shown(n)}")
     if n >= len(_walk):
         _grow_walk(max(n + 1, 2 * len(_walk)))
     return _walk[n]

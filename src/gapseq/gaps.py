@@ -11,14 +11,15 @@ as exact Decimals to print, and ``_printed_product_between`` the products.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
-from collections.abc import Callable, Iterator, Sequence
-from itertools import pairwise, starmap
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate, pairwise, starmap
 from decimal import Decimal
 from math import comb, isqrt, perm, prod
 from operator import pos
 
-from ._decimal import _CONTEXT, _DIRECT_BITS, show, to_decimal
+from ._decimal import _CONTEXT, _DIRECT_BITS, _shown, to_decimal
 from ._record import record
 from .sequences import N, SeqSpec, _check_count, _index_error, _run, _sieve, terms
 
@@ -153,7 +154,8 @@ def product_range(lo: int, hi: int) -> int:
     factorial ratio (hi-1)!/(lo-1)!, and is built from prime exponents
     instead (``_factorial_ratio``). On both paths, products of long
     factors of like length are Toom-3 products (``_mul``) over the
-    builtin one.
+    builtin one, and a product of at least _FORK_BITS bits is made on two
+    cores where ``_may_fork`` allows it.
     """
     n = hi - lo
     if n <= 0:
@@ -165,9 +167,10 @@ def product_range(lo: int, hi: int) -> int:
             return perm(hi - 1, n)
         p = perm(-lo, n)
         return -p if n & 1 else p
+    fork = _may_fork(n * max(-lo, hi - 1).bit_length())
     if _is_wide(lo, hi):
-        return _factorial_ratio(lo, hi)
-    return _product(range(lo, hi), 0, n)
+        return _factorial_ratio(lo, hi, fork)
+    return _product(range(lo, hi), 0, n, fork)
 
 
 def _is_wide(lo: int, hi: int) -> bool:
@@ -177,26 +180,46 @@ def _is_wide(lo: int, hi: int) -> bool:
     return n >= _WIDE_LENGTH and 0 < lo and hi <= _WIDE_SPAN * n
 
 
-def _factorial_ratio(lo: int, hi: int) -> int:
+def _factorial_ratio(lo: int, hi: int, fork: bool = False) -> int:
     """(hi-1)!/(lo-1)! for 1 <= lo < hi, without a division.
 
-    With e_p the exponent of the odd prime p in the result and P_j the
-    product of the odd primes whose e_p has bit j set, the odd part of
-    the result is the product of P_j^(2^j), which r = r*r * P_j builds
-    from the top bit down (P. B. Borwein, J. Algorithms 6, 1985). The
-    power of 2, v(m!) = m - popcount(m), is one shift.
+    The odd part is ``_borwein`` of the runs of ``_exponent_runs``; the
+    power of 2, v(m!) = m - popcount(m), is one shift. With fork, the
+    runs are cut where the bits they put into Borwein's groups reach
+    half (a run joins as many groups as e has bits set), and ``_joined``
+    makes the two parts and their product on two cores. Cut where e
+    times their bits reach half, the lower part took a third of the
+    upper part's time.
     """
     top, base = hi - 1, lo - 1
+    runs = _exponent_runs(top, base)
+    if fork:
+        runs = list(runs)
+        bits = list(accumulate(e.bit_count() * sum(map(int.bit_length, run)) for e, run in runs))
+        cut = bisect_right(bits, bits[-1] // 2) if bits else 0
+        odd = _joined(_borwein, (runs[:cut], top), (runs[cut:], top))
+    else:
+        odd = _borwein(runs, top)
+    return odd << (top - top.bit_count() - base + base.bit_count())
+
+
+def _borwein(runs: Iterable[tuple[int, Sequence[int]]], top: int) -> int:
+    """The product of p^e over the runs (e, primes p) of ``_exponent_runs(top, ...)``.
+
+    With P_j the product of the primes whose e has bit j set, that is the
+    product of P_j^(2^j), which r = r*r * P_j builds from the top bit
+    down (P. B. Borwein, J. Algorithms 6, 1985).
+    """
     # e_p <= v_p(top!) < top / (p - 1) <= top / 2
     groups: list[list[int]] = [[] for _ in range((top // 2).bit_length())]
-    for e, run in _exponent_runs(top, base):
+    for e, run in runs:
         for j in range(e.bit_length()):
             if e >> j & 1:
                 groups[j] += run
     result = 1
     for group in reversed(groups):
         result = _mul(_mul(result, result), _product(group, 0, len(group)))
-    return result << (top - top.bit_count() - base + base.bit_count())
+    return result
 
 
 def _exponent_runs(top: int, base: int) -> Iterator[tuple[int, Sequence[int]]]:
@@ -222,17 +245,20 @@ def _exponent_runs(top: int, base: int) -> Iterator[tuple[int, Sequence[int]]]:
         end = start
 
 
-def _product(values: Sequence[int], lo: int, hi: int) -> int:
+def _product(values: Sequence[int], lo: int, hi: int, fork: bool = False) -> int:
     """Product of values[lo:hi], split in half so that partial products
     stay balanced in size; each merge goes through ``_mul``, so the long
     merges near the root are Toom-3 products. A leaf over a range of
     positive integers is one ``math.perm``, so the split stays above
-    _LEAF values."""
+    _LEAF values. With fork, ``_joined`` makes the two halves and their
+    product on two cores."""
     if hi - lo <= _LEAF:
         if isinstance(values, range) and values.start > 0:
             return perm(values[hi - 1], hi - lo)
         return prod(values[lo:hi])
     mid = (lo + hi) // 2
+    if fork:
+        return _joined(_product, (values, lo, mid), (values, mid, hi))
     return _mul(_product(values, lo, mid), _product(values, mid, hi))
 
 
@@ -265,7 +291,7 @@ def _decimal_product(values: range, lo: int, hi: int) -> Decimal:
 _TOOM_BITS = 30000
 
 
-def _mul(a: int, b: int) -> int:
+def _mul(a: int, b: int, again: Callable[[], tuple[int, int]] | None = None) -> int:
     """a * b, by Toom-3 when both factors are long and of like length.
 
     Short or lopsided factors go to the builtin product (Karatsuba in
@@ -273,11 +299,28 @@ def _mul(a: int, b: int) -> int:
     squaring is about 30% cheaper than multiplying. The factors are cut
     into pieces here and dropped, so that a caller's temporaries do not
     outlive the split.
+
+    Given ``again``, a function that makes a and b anew, this call may
+    fork: a child makes two of Toom-3's five products, or for a lopsided
+    pair the upper half of the long factor times the short one, while
+    this process makes the rest. This process keeps none of the child's
+    inputs, so should the child fail, it makes ``again()``'s product
+    itself. The products below never fork.
     """
     square = a is b
     n, m = a.bit_length(), b.bit_length()
     if n > m:
         n, m = m, n
+    if again is not None and 3 * n < 2 * m:
+        if a.bit_length() < m:
+            a, b = b, a
+        s = m // 2  # a = (a >> s << s) + (a & mask), for either sign of a
+        with _Child(_mul, a >> s, b) as child:
+            a &= (1 << s) - 1
+            low = _mul(a, b)
+            del a, b
+            high = child.result()
+        return _mul(*again()) if high is None else (high[0] << s) + low
     if n < _TOOM_BITS or 3 * n < 2 * m:
         return a * b
     negative = (a < 0) != (b < 0)
@@ -285,7 +328,9 @@ def _mul(a: int, b: int) -> int:
     x = _toom3_points(abs(a), k)
     y = x if square else _toom3_points(abs(b), k)
     del a, b
-    c = _toom3(x, y, k)
+    c = _toom3(x, y, k, again is not None)
+    if c is None:
+        return _mul(*again())
     return -c if negative else c
 
 
@@ -299,19 +344,27 @@ def _toom3_points(a: int, k: int) -> list[int]:
     return [a0, t + a1, m1, ((m1 + a2) << 1) - a0, a2]
 
 
-def _toom3(x: list[int], y: list[int], k: int) -> int:
+def _toom3(x: list[int], y: list[int], k: int, fork: bool = False) -> int | None:
     """The product of two factors from their ``_toom3_points`` (one list
     for a square): five products a third as long, through ``_mul``, and
     Bodrato's interpolation (M. Bodrato, WAIFI 2007). Each value is
-    dropped as soon as it has been used, to keep the peak low."""
-    square = x is y
-    products = []
-    while x:
-        u = x.pop()
-        products.append(_mul(u, u if square else y.pop()))
-        del u
-    r4, rm2, rm1, r1, r0 = products
-    del products
+    dropped as soon as it has been used, to keep the peak low. With
+    fork, a forked child makes the products at 1 and -1, and None means
+    that it failed."""
+    if fork:
+        tx = x[1:3]
+        with _Child(_point_products, tx, tx if x is y else y[1:3]) as child:
+            del tx, x[1:3]  # the child's points: it has its own copy
+            if y is not x:
+                del y[1:3]
+            r4, rm2, r0 = _point_products(x, y)
+            theirs = child.result()
+        if theirs is None:
+            return None
+        rm1, r1 = theirs
+        del theirs
+    else:
+        r4, rm2, rm1, r1, r0 = _point_products(x, y)
     r3 = (rm2 - r1) // 3
     del rm2
     r1 = (r1 - rm1) >> 1
@@ -329,10 +382,139 @@ def _toom3(x: list[int], y: list[int], k: int) -> int:
     return c + (r4 << 4 * k)
 
 
+def _point_products(x: list[int], y: list[int]) -> list[int]:
+    """x[i] * y[i] through ``_mul``, last point first (squares when x is
+    y), each point dropped as soon as its product is made."""
+    square = x is y
+    products = []
+    while x:
+        u = x.pop()
+        products.append(_mul(u, u if square else y.pop()))
+        del u
+    return products
+
+
+# A product of at least _FORK_BITS bits is made on two cores where
+# _may_fork allows it. Its two forks, the children's replies and their
+# reaping cost about 2 ms; the cutoff comes from a measured crossover
+# table (README.md, "Performance").
+_FORK_BITS = 5 << 16
+
+
+def _may_fork(bits: int) -> bool:
+    """Whether a product of about this many bits may fork a child: it has
+    at least _FORK_BITS bits, this process may run on two CPUs or more,
+    and it has one thread, since a fork copies only the thread that calls
+    it. Where a check cannot be made, as off Linux, the answer is no."""
+    if bits < _FORK_BITS:
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
+    except (AttributeError, OSError):
+        return False
+
+
+def _joined(make: Callable[..., int], low: tuple, high: tuple) -> int:
+    """make(*low) * make(*high) on two cores: a forked child makes
+    make(*high) while this process makes make(*low), and the forking
+    ``_mul`` joins them. Should the child fail, this process makes its
+    part itself, and then no longer forks."""
+    with _Child(make, *high) as child:
+        parts = [make(*low)]
+        parts += child.result() or [make(*high)]
+        again = (lambda: (make(*low), make(*high))) if child.pid is not None else None
+    return _mul(parts.pop(), parts.pop(), again)  # popped, so that no name keeps a part
+
+
+class _Child:
+    """job(*args), one int or a list of ints, made in a forked child while
+    this process goes on inside the ``with`` block.
+
+    ``result()`` is the list the child sent: each int as its length and
+    its ``to_bytes``, read into one buffer of that length, then a length
+    of 0. It is None if the fork failed or the child ended before it sent
+    that 0. This process keeps no reference to job or args. Leaving the
+    block reaps the child, and kills it first if it has not delivered, as
+    when an exception is on its way out. The child leaves by
+    ``os._exit``, which runs no atexit handler and flushes no buffer it
+    inherited, so nothing written before the fork is written twice.
+    """
+
+    def __init__(self, job: Callable, *args) -> None:
+        self.pid = self.pipe = None
+        self.sent = False
+        try:
+            r, w = os.pipe()
+        except OSError:
+            return
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            return
+        if pid == 0:
+            os.close(r)
+            _send(w, job, args)
+        os.close(w)
+        self.pid, self.pipe = pid, open(r, "rb")
+
+    def __enter__(self) -> _Child:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        if self.pipe is not None:
+            self.pipe.close()
+        if self.pid is not None:
+            if not self.sent:
+                from signal import SIGKILL
+
+                os.kill(self.pid, SIGKILL)
+            os.waitpid(self.pid, 0)
+
+    def result(self) -> list[int] | None:
+        """The ints the child sent, or None if there are none to read.
+        ``read`` puts each into one bytes object of its length, which
+        ``int.from_bytes`` takes without a copy."""
+        if self.pipe is None:
+            return None
+        made = []
+        with self.pipe as pipe:
+            while len(head := pipe.read(8)) == 8:
+                size = int.from_bytes(head, "little")
+                if not size:
+                    self.sent = True
+                    return made
+                body = pipe.read(size)
+                if len(body) < size:
+                    break
+                made.append(int.from_bytes(body, "little", signed=True))
+                del body
+        return None
+
+
+def _send(w: int, job: Callable, args: tuple) -> None:
+    """In a forked child: write job(*args) to the pipe end w as
+    ``_Child.result`` reads it, and exit, with status 0 only if all of it
+    was written."""
+    code = 1
+    try:
+        made = job(*args)
+        with open(w, "wb") as out:
+            for v in [made] if isinstance(made, int) else made:
+                size = v.bit_length() // 8 + 1  # room for the sign bit
+                out.write(size.to_bytes(8, "little"))
+                out.write(v.to_bytes(size, "little", signed=True))
+            out.write(bytes(8))
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def gap_sum_linear_closed(r: int, n: int) -> int:
     """Gap-sum of a_n = r*n in closed form: (2n+1) * C(r, 2)."""
     if r < 1:
-        raise ValueError(f"slope must be >= 1, got {show(r)}")
+        raise ValueError(f"slope must be >= 1, got {_shown(r)}")
     if n < 0:
         raise _index_error(n)
     return (2 * n + 1) * comb(r, 2)
@@ -341,7 +523,7 @@ def gap_sum_linear_closed(r: int, n: int) -> int:
 def gap_sum_geometric_closed(k: int, n: int) -> int:
     """Gap-sum of a_n = k**n in closed form: ((k^2-1)k^(2n) - (k+1)k^n) / 2."""
     if k < 2:
-        raise ValueError(f"base must be >= 2, got {show(k)}")
+        raise ValueError(f"base must be >= 2, got {_shown(k)}")
     if n < 0:
         raise _index_error(n)
     return ((k * k - 1) * k ** (2 * n) - (k + 1) * k**n) // 2

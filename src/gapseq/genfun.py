@@ -115,14 +115,7 @@ class RatFunc:
         c_i = u_i / (q^i * L). Horadam generating functions and integer
         denominators have q = 1, so the scaled values do not grow.
         """
-        q, big_l, nums, weights = _scaled_recurrence(self.num.coeffs, self.den.coeffs, count)
-        out: list[Fraction] = []
-        scale = big_l  # q^i * L
-        for u in _scaled_run(nums, weights, q, count):
-            # Fraction(u) skips the gcd that Fraction(u, 1) pays.
-            out.append(Fraction(u) if scale == 1 else Fraction(u, scale))
-            scale *= q
-        return out
+        return list(_fractions(*_scaled_recurrence(self.num.coeffs, self.den.coeffs, count), count))
 
 
 def _scaled_recurrence(
@@ -180,6 +173,18 @@ def _scaled_run(nums: Sequence[N], weights: Sequence[N], q: int, count: int) -> 
         power *= q
 
 
+def _fractions(
+    q: int, big_l: int, nums: list[int], weights: list[int], count: int
+) -> Iterator[Fraction]:
+    """The coefficients c_i = u_i / (q^i * L) of ``RatFunc.expand``, one at
+    a time, from its ``_scaled_recurrence``."""
+    scale = big_l  # q^i * L
+    for u in _scaled_run(nums, weights, q, count):
+        # Fraction(u) skips the gcd that Fraction(u, 1) pays.
+        yield Fraction(u) if scale == 1 else Fraction(u, scale)
+        scale *= q
+
+
 def decimal_expansion(f: RatFunc, count: int) -> Iterable:
     """The values of ``f.expand(count)``, ready to print.
 
@@ -187,11 +192,11 @@ def decimal_expansion(f: RatFunc, count: int) -> Iterable:
     function, and integer num/den with den(0) = 1) the coefficients are
     the integers u_i, stepped on exact Decimals, whose ``str`` is linear
     where an int's is quadratic: a run to read under ``exact()``. At any
-    other scale this is ``f.expand(count)``, with its Fractions.
+    other scale this is the run of Fractions that ``f.expand(count)`` lists.
     """
     q, big_l, nums, weights = _scaled_recurrence(f.num.coeffs, f.den.coeffs, count)
     if q != 1 or big_l != 1:
-        return f.expand(count)
+        return _fractions(q, big_l, nums, weights, count)
     return _scaled_run(list(map(to_decimal, nums)), list(map(to_decimal, weights)), 1, count)
 
 

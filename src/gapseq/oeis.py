@@ -14,7 +14,7 @@ import os
 import re
 from collections.abc import Iterator, Sequence
 
-from ._decimal import show, str_to_int
+from ._decimal import _shown, str_to_int
 from ._record import record
 
 A_NUMBER = re.compile(r"\AA[0-9]{6}\Z")  # not \d, which takes any Unicode digit
@@ -212,7 +212,7 @@ def cross_check(values: Sequence[int], bfile: BFile, max_shift: int = 4) -> Chec
     if not values:
         raise ValueError("no values to check")
     if max_shift < 0:
-        raise ValueError(f"max_shift must be >= 0, got {show(max_shift)}")
+        raise ValueError(f"max_shift must be >= 0, got {_shown(max_shift)}")
     expected = bfile.values
     if not expected:
         raise BFileError(f"b-file {bfile.seq_id or '<anonymous>'} has no entries")

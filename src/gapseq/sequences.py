@@ -20,7 +20,7 @@ from itertools import accumulate, compress, islice, repeat
 from math import comb, isqrt, log
 from operator import index
 
-from ._decimal import show, to_decimal
+from ._decimal import _shown, to_decimal
 from ._record import record
 
 N = int | Decimal  # an int, or an exact Decimal integer
@@ -52,7 +52,7 @@ class Linear:
     def __post_init__(self) -> None:
         _index_fields(self)
         if self.k < 0:
-            raise SpecError(f"linear slope must be >= 0, got {show(self.k)}")
+            raise SpecError(f"linear slope must be >= 0, got {_shown(self.k)}")
 
 
 @record
@@ -65,7 +65,7 @@ class Geometric:
     def __post_init__(self) -> None:
         _index_fields(self)
         if self.k < 2:
-            raise SpecError(f"geometric base must be >= 2, got {show(self.k)}")
+            raise SpecError(f"geometric base must be >= 2, got {_shown(self.k)}")
 
 
 @record
@@ -89,7 +89,7 @@ class Polynomial:
         for n in range(_degree(coeffs) + 1):
             v = _poly_at(coeffs, n)
             if v.denominator != 1:
-                raise SpecError(f"polynomial is not integer-valued: p({n}) = {show(v)}")
+                raise SpecError(f"polynomial is not integer-valued: p({n}) = {_shown(v)}")
 
 
 @record
@@ -102,9 +102,9 @@ class Binomial:
     def __post_init__(self) -> None:
         _index_fields(self)
         if self.shift < 0:
-            raise SpecError(f"binomial shift must be >= 0, got {show(self.shift)}")
+            raise SpecError(f"binomial shift must be >= 0, got {_shown(self.shift)}")
         if self.lower < 1:
-            raise SpecError(f"binomial lower index must be >= 1, got {show(self.lower)}")
+            raise SpecError(f"binomial lower index must be >= 1, got {_shown(self.lower)}")
 
 
 @record
@@ -127,7 +127,7 @@ class Horadam:
     def __post_init__(self) -> None:
         _index_fields(self)
         if self.shift < 0:
-            raise SpecError(f"horadam shift must be >= 0, got {show(self.shift)}")
+            raise SpecError(f"horadam shift must be >= 0, got {_shown(self.shift)}")
 
 
 @record
@@ -248,13 +248,13 @@ def _horadam_run(a: N, b: N, r: N, s: N, count: int) -> Iterator[N]:
 
 
 def _index_error(n: int) -> IndexError:
-    return IndexError(f"sequence index must be >= 0, got {show(n)}")
+    return IndexError(f"sequence index must be >= 0, got {_shown(n)}")
 
 
 def _check_count(count: int) -> int:
     """count, or a ValueError if it is negative."""
     if count < 0:
-        raise ValueError(f"count must be >= 0, got {show(count)}")
+        raise ValueError(f"count must be >= 0, got {_shown(count)}")
     return count
 
 
@@ -328,7 +328,7 @@ def nth_prime(n: int) -> int:
     covers float rounding.
     """
     if n < 0:
-        raise IndexError(f"prime index must be >= 0, got {show(n)}")
+        raise IndexError(f"prime index must be >= 0, got {_shown(n)}")
     if n >= len(_primes):
         count = max(n + 1, 2 * len(_primes))
         _sieve(int(count * (log(count) + log(log(count)))) + 2)

@@ -223,6 +223,10 @@ def _other_argvs() -> list[list[str]]:
         ["terms", "--spec", f"linear:{WORD},1", "--count", "3"],
         ["check-oeis", "--spec", "fib", "--kind", "terms", "--id", "A" + WORD, "--fetch"],
         ["terms", "--spec", "fib", "--count", "-" + "9" * 3000],
+        # A long spec family, and range errors of long numbers.
+        ["terms", "--spec", WORD, "--count", "3"],
+        ["terms", "--spec", "linear:-" + "9" * 3000 + ",1", "--count", "2"],
+        ["check-identity", "--fc=-" + "9" * 3000 + ",2"],
     ]
 
 

@@ -753,8 +753,18 @@ class TestDigitLimit:
          "of 5000 characters\n"),
         (["terms", "--spec", f"linear:{WORD},1", "--count", "3"],
          f"gapseq: error: expected an integer, got '{WORD[:40]}'... of 5000 characters "
-         f"(at position 7 in 'linear:{WORD[:33]}'... of 5009 characters)\n"
+         f"(at position 7 in a spec of 5009 characters)\n"
          f"gapseq: spec grammar: {cli._GRAMMAR}\n"),
+        (["terms", "--spec", WORD, "--count", "3"],
+         f"gapseq: error: unknown sequence family '{WORD[:40]}'... of 5000 characters "
+         f"(at position 0 in a spec of 5000 characters)\n"
+         f"gapseq: spec grammar: {cli._GRAMMAR}\n"),
+        (["terms", "--spec", f"linear:-{'9' * 3000},1", "--count", "2"],
+         f"gapseq: error: linear slope must be >= 0, got -{'9' * 39}... of 3001 characters "
+         f"(at position 7 in a spec of 3010 characters)\n"
+         f"gapseq: spec grammar: {cli._GRAMMAR}\n"),
+        (["check-identity", f"--fc=-{'9' * 3000},2"],
+         f"gapseq: error: slope k must be >= 1, got -{'9' * 39}... of 3001 characters\n"),
         (["check-oeis", "--spec", "fib", "--kind", "terms", "--id", "A" + WORD, "--fetch"],
          f"gapseq check-oeis: error: argument --id: expected 'A' + 6 digits, got "
          f"'A{WORD[:39]}'... of 5001 characters\n"),
@@ -762,7 +772,7 @@ class TestDigitLimit:
          f"gapseq terms: error: argument --count: must be >= 0, got -{'9' * 39}... "
          "of 3001 characters\n"),
     ], ids=["spec-integer", "spec-exponent", "count", "fc", "num", "fc-count", "count-text",
-            "spec-text", "id", "count-negative"])
+            "spec-text", "spec-family", "spec-range", "fc-range", "id", "count-negative"])
     @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="Python 3.10 has no int/str digit limit")
     def test_numbers_past_the_limit_name_the_fault(self, capsys, argv, err):
         """One message for a number too long, wherever it stands, that
@@ -971,7 +981,7 @@ class TestPrintedRunsStream:
     primes and the fold walk read tables that grow by design, and are left out."""
 
     # argv with N for the count, and the smaller count; each run at ten
-    # times it held 3.7 to 5.4 MiB more at its peak while it built a list.
+    # times it held 3.0 to 5.4 MiB more at its peak while it built a list.
     CASES = [
         (["terms", "--spec", "fib", "--count", "N"], 1000),
         (["gapsum", "--spec", "linear:3,1", "--count", "N", "--format", "json"], 10000),
@@ -980,6 +990,7 @@ class TestPrintedRunsStream:
         (["gaps", "--spec", "binom:5,3", "--count", "N", "--format", "csv"], 3000),
         (["expand", "--num", "1", "--den", "1,-1,-1", "--count", "N"], 1000),
         (["gf", "--horadam", "1,1,1,1", "--expand", "N", "--format", "json"], 1000),
+        (["expand", "--num", "1,1/2", "--den", "1,-1/3", "--count", "N"], 500),
     ]
     # A few of the writer's batches of about 64 KiB of text.
     MARGIN = 3 * 2**19

@@ -192,8 +192,11 @@ class TestDecimalExpansion:
         assert texts(read(decimal_expansion(f, count))) == texts(f.expand(count))
 
     def test_other_scales_are_expand(self):
+        """The Fractions of expand, made one at a time: a run, not a list."""
         for f in (ratfunc([1, 1], [3, 1]), ratfunc([Fraction(1, 2), 1], [1, -1])):
-            assert decimal_expansion(f, 12) == f.expand(12)
+            run = decimal_expansion(f, 12)
+            assert not isinstance(run, list)
+            assert list(run) == f.expand(12)
 
 
 class TestCliRuns:

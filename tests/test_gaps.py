@@ -1,10 +1,15 @@
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
+import threading
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -500,12 +505,13 @@ class TestMul:
         assert _mul(a, lopsided) == a * lopsided
         assert _mul(-a, lopsided) == -a * lopsided
 
-    def test_peak_memory_of_a_long_product(self):
-        # About 1.9M bits by the balanced split. The builtin product alone
-        # peaks at 6.4 times the result's size, and a Toom-3 that keeps
-        # the factors and its partial products to the end at 5.9 times.
-        # _mul peaks at 3.6 times (4.5 on Python 3.10, whose calls keep
-        # their arguments alive).
+    def test_peak_memory_of_a_long_product(self, monkeypatch):
+        # About 1.9M bits by the balanced split, in this process alone.
+        # The builtin product alone peaks at 6.4 times the result's size,
+        # and a Toom-3 that keeps the factors and its partial products to
+        # the end at 5.9 times. _mul peaks at 3.6 times (4.5 on Python
+        # 3.10, whose calls keep their arguments alive).
+        monkeypatch.setattr(gaps, "_FORK_BITS", math.inf)
         tracemalloc.start()
         try:
             got = product_range(10**6, 10**6 + 95000)
@@ -515,6 +521,305 @@ class TestMul:
         size = got.bit_length() / 8
         assert got.bit_length() > 1_800_000
         assert peak < 5 * size
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+                                reason="forking needs os.fork and os.sched_getaffinity")
+
+
+def two_cpus():
+    """_may_fork's affinity check of this process (pid 0) sees two CPUs,
+    whatever the host has."""
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1} if pid == 0 else set())
+
+
+@pytest.fixture
+def cpus():
+    with two_cpus():
+        yield
+
+
+def counting_forks(made: list):
+    """os.fork, noting each child's pid in made."""
+    real = os.fork
+
+    def counting():
+        pid = real()
+        if pid:
+            made.append(pid)
+        return pid
+
+    return mock.patch.object(os, "fork", counting)
+
+
+@pytest.fixture
+def forks():
+    """The pids of the children os.fork made during the test."""
+    made = []
+    with counting_forks(made):
+        yield made
+
+
+@pytest.fixture
+def delivered(monkeypatch):
+    """For each child read during the test, whether it sent its part."""
+    sent = []
+    real = gaps._Child.result
+
+    def result(child):
+        got = real(child)
+        sent.append(got is not None)
+        return got
+
+    monkeypatch.setattr(gaps._Child, "result", result)
+    return sent
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def in_child(real):
+    """real, except that in a forked child it ends the child at once."""
+    parent = os.getpid()
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(*args, **kwargs)
+
+    return dying
+
+
+# A range of about _FORK_BITS bits: 20-bit integers from 2^19.
+_AT_FORK = (1 << 19, (1 << 19) + gaps._FORK_BITS // 20)
+
+
+@needs_fork
+class TestForkedProducts:
+    """Products of at least _FORK_BITS bits are made on two cores: a forked
+    child makes the upper half (of a range, or of _factorial_ratio's
+    runs) and two of the root Toom-3's five products (or half of a
+    lopsided root product). Every value is the serial one."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(-3000, 3000), st.integers(65, 3000), st.integers(0, 3),
+           st.booleans())
+    def test_small_thresholds(self, lo, n, wide_length, negative):
+        """With every cutoff low, forking products of a few hundred bits
+        take each path: narrow and wide ranges, of either sign."""
+        lo = -lo - n if negative else lo
+        with two_cpus(), mock.patch.multiple(gaps, _FORK_BITS=1000, _TOOM_BITS=64,
+                                             _WIDE_LENGTH=64 << wide_length):
+            assert product_range(lo, lo + n) == prod(range(lo, lo + n))
+            if lo > 0:
+                assert _factorial_ratio(lo, lo + n, True) == prod(range(lo, lo + n))
+        assert no_child_left()
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(-40, 40))
+    def test_around_the_cutoff(self, offset):
+        """Just below _FORK_BITS (by the estimate n * bits of the top
+        integer) nothing forks; from it, the two children come one at a
+        time."""
+        forks = []
+        lo, hi = _AT_FORK[0], _AT_FORK[1] + offset
+        with two_cpus(), counting_forks(forks):
+            assert product_range(lo, hi) == math.perm(hi - 1, hi - lo)
+        assert len(forks) == (0 if (hi - lo) * 20 < gaps._FORK_BITS else 2)
+        assert no_child_left()
+
+    @pytest.mark.parametrize("lo, hi", [(1, 30001), (30001, 90001), (59054, 177152),
+                                        (10**6, 10**6 + 40000), (-10**6 - 40000, -10**6)],
+                             ids=["factorial", "wide", "geom-3", "narrow", "negative"])
+    @pytest.mark.usefixtures("cpus")
+    def test_full_size(self, forks, delivered, lo, hi):
+        assert product_range(lo, hi) == balanced_product(lo, hi)
+        assert len(forks) == 2
+        assert delivered == [True, True]
+        assert no_child_left()
+
+    @pytest.mark.parametrize("lo, hi", [(59054, 177152), (1, 150001)], ids=["geom-3", "factorial"])
+    @pytest.mark.usefixtures("cpus")
+    def test_runs_are_cut_by_group_bits(self, monkeypatch, lo, hi):
+        """A forked _factorial_ratio cuts its runs where the bits they put
+        into Borwein's groups reach half, so each part gets a third to two
+        thirds of them."""
+        parts = []
+        real = gaps._joined
+
+        def spy(make, low, high):
+            parts.append((low[0], high[0]))
+            return real(make, low, high)
+
+        def group_bits(runs):
+            return sum(e.bit_count() * sum(map(int.bit_length, run)) for e, run in runs)
+
+        monkeypatch.setattr(gaps, "_joined", spy)
+        assert product_range(lo, hi) == math.perm(hi - 1, hi - lo)
+        [(low, high)] = parts
+        assert 1 / 3 < group_bits(low) / (group_bits(low) + group_bits(high)) < 2 / 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(toom_pair(), st.integers(0, 3))
+    def test_mul_matches_the_builtin_product(self, pair, shift):
+        """Balanced, square, lopsided and negative pairs; a shift of the
+        second factor makes a pair lopsided."""
+        a, b = pair
+        b <<= shift * abs(b).bit_length()
+        with mock.patch.object(gaps, "_TOOM_BITS", _LOW_TOOM_BITS):
+            assert _mul(a, b, lambda: (a, b)) == a * b
+            assert _mul(b, a, lambda: (b, a)) == a * b
+            assert _mul(a, a, lambda: (a, a)) == a * a
+        assert no_child_left()
+
+    def test_mul_at_full_size(self):
+        r = random.Random(21)
+        a, b, c = r.getrandbits(10**6), r.getrandbits(10**6), r.getrandbits(3 * 10**5)
+        assert _mul(a, b, lambda: (a, b)) == a * b
+        assert _mul(-a, b, lambda: (-a, b)) == -a * b
+        assert _mul(a, a, lambda: (a, a)) == a * a
+        assert _mul(c, -a, lambda: (c, -a)) == -a * c
+        assert no_child_left()
+
+    @pytest.mark.usefixtures("cpus")
+    def test_a_square_stays_a_square_in_the_child(self, monkeypatch):
+        sent = []
+
+        class Spy(gaps._Child):
+            def __init__(self, job, *args):
+                sent.append((job, args[0] is args[1]))
+                super().__init__(job, *args)
+
+        monkeypatch.setattr(gaps, "_Child", Spy)
+        a = 3**200000
+        assert _mul(a, a, lambda: (a, a)) == a * a
+        b = a + 1
+        assert _mul(a, b, lambda: (a, b)) == a * b
+        assert sent == [(gaps._point_products, True), (gaps._point_products, False)]
+
+    @pytest.mark.parametrize("job, lo, hi", [
+        ("_product", 10**6, 10**6 + 40000),
+        ("_borwein", 59054, 177152),
+        ("_point_products", 10**6, 10**6 + 40000),
+        ("_point_products", 59054, 177152),
+    ], ids=["halves", "runs", "join-narrow", "join-wide"])
+    @pytest.mark.usefixtures("cpus")
+    def test_a_child_that_dies_changes_nothing(self, monkeypatch, delivered, job, lo, hi):
+        """A child that ends without sending its part: this process makes
+        the part itself, or for a root product the whole product."""
+        monkeypatch.setattr(gaps, job, in_child(getattr(gaps, job)))
+        assert product_range(lo, hi) == balanced_product(lo, hi)
+        assert not all(delivered)
+        assert no_child_left()
+
+    def test_a_lopsided_child_that_dies_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(gaps, "_mul", in_child(gaps._mul))
+        r = random.Random(22)
+        a, b = r.getrandbits(10**6), -r.getrandbits(10**5)
+        assert gaps._mul(a, b, lambda: (a, b)) == a * b
+        assert no_child_left()
+
+    @pytest.mark.usefixtures("cpus")
+    def test_a_fork_that_fails_changes_nothing(self, monkeypatch):
+        def fail():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, "fork", fail)
+        for lo, hi in [(10**6, 10**6 + 40000), (59054, 177152)]:
+            assert product_range(lo, hi) == balanced_product(lo, hi)
+
+    @pytest.mark.usefixtures("cpus")
+    def test_an_exception_in_the_parent_leaves_no_child(self, monkeypatch, forks):
+        parent = os.getpid()
+        real = gaps._product
+
+        def failing(values, lo, hi, fork=False):
+            if os.getpid() == parent and not fork:  # this process's half, after the fork
+                raise RuntimeError("stop")
+            return real(values, lo, hi, fork)
+
+        monkeypatch.setattr(gaps, "_product", failing)
+        with pytest.raises(RuntimeError, match="stop"):
+            product_range(10**6, 10**6 + 40000)
+        assert len(forks) == 1
+        assert no_child_left()
+
+    @pytest.mark.parametrize("why", ["thread", "one-cpu", "no-affinity", "no-proc", "small"])
+    @pytest.mark.usefixtures("cpus")
+    def test_no_fork(self, monkeypatch, why):
+        def fail(*args):
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fail)
+        lo, hi = 10**6, 10**6 + 40000
+        if why == "small":
+            hi = lo + gaps._FORK_BITS // 21
+        if why == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        if why == "no-affinity":  # as on macOS and Windows
+            monkeypatch.delattr(os, "sched_getaffinity")
+        if why == "no-proc":
+            real = os.listdir
+
+            def listdir(path="."):
+                if str(path).startswith("/proc"):
+                    raise FileNotFoundError(path)
+                return real(path)
+
+            monkeypatch.setattr(os, "listdir", listdir)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if why == "thread":
+            thread.start()
+        try:
+            assert product_range(lo, hi) == balanced_product(lo, hi)
+        finally:
+            stop.set()
+            if why == "thread":
+                thread.join(10)
+        assert not thread.is_alive()
+
+    @pytest.mark.usefixtures("cpus")
+    def test_forked_peak_is_the_serial_peak(self, monkeypatch):
+        """This process drops the child's inputs as soon as it has forked,
+        so its own peak is no higher than the serial product's (keeping the
+        child's two Toom-3 point pairs raised it by about 15%)."""
+        lo, hi = 10**6, 10**6 + 95000
+        peaks = []
+        for cutoff in (math.inf, gaps._FORK_BITS):
+            monkeypatch.setattr(gaps, "_FORK_BITS", cutoff)
+            tracemalloc.start()
+            try:
+                product_range(lo, hi)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        serial, forked = peaks
+        assert forked < 1.05 * serial
+
+    def test_quiet_under_dev_mode(self):
+        """No unclosed file and no fork warning (Python 3.12+ warns when a
+        process with threads forks), with every warning an error."""
+        script = (
+            "import math, os\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks = []\n"
+            "os.register_at_fork(before=lambda: forks.append(1))\n"
+            "from gapseq.gaps import product_range\n"
+            "lo, hi = 10**6, 10**6 + 40000\n"
+            "assert product_range(lo, hi) == math.perm(hi - 1, hi - lo)\n"
+            "print(len(forks))\n"
+        )
+        src = str(Path(gaps.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stdout, done.stderr) == (0, "2\n", "")
 
 
 def _read_exact(run):

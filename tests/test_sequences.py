@@ -242,8 +242,9 @@ _BFILE = oeis.parse_bfile("0 1\n1 2\n", "A000001")
 
 class TestLongIntsInMessages:
     """A validation error that quotes the caller's int raises its own type
-    and message at any length, not the digit limit's ValueError; within
-    the limit the message is str() of the int as before."""
+    and message at any length, not the digit limit's ValueError. The
+    message is str() of the int up to 40 characters, and past that its
+    first 40 characters and its length, as any long text is quoted."""
 
     @pytest.mark.parametrize("call,error,message", [
         (lambda v: Linear(v, 0), SpecError, "linear slope must be >= 0, got "),
@@ -273,4 +274,6 @@ class TestLongIntsInMessages:
         with int_digit_limit(4300), pytest.raises(error) as err:
             call(value)
         assert type(err.value) is error
-        assert str(err.value) == message + int_to_str(value)
+        text = int_to_str(value)
+        quoted = text if len(text) <= 40 else f"{text[:40]}... of {len(text)} characters"
+        assert str(err.value) == message + quoted
